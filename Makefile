@@ -202,8 +202,11 @@ net-smoke:
 # (including torn mid-fsync writes) and the recovered service must honor
 # every acknowledged decision and decide the remaining stream
 # bit-identically. Deterministic by construction — no timing dependence.
+# The second pass repeats the matrix and the sync-slot tests at
+# GOMAXPROCS=2, where the WAL lets one goroutine sync at a time.
 crash-smoke:
 	$(GO) test -race -run 'TestCrash' ./internal/serve/ ./internal/wal/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestCrash|TestSyncSlot' ./internal/serve/ ./internal/wal/
 
 # fuzz-smoke gives each fuzz target a short coverage-guided run (the
 # committed seed corpora already run on every plain `go test`). Fixed
@@ -213,6 +216,7 @@ crash-smoke:
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz 'FuzzSlackBoundary' -fuzztime 10s ./internal/job/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzGenerators' -fuzztime 10s ./internal/workload/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzDecodeAll' -fuzztime 10s ./internal/wal/
 
 # verify is the CI gate: formatting, static checks, a full build and the
 # race-enabled test suite (which includes the zero-alloc observability

@@ -186,47 +186,63 @@ func TestCrashFaultMatrix(t *testing.T) {
 }
 
 // TestCrashCorruptedTail layers post-crash media damage on top of a
-// kill: the tail of the log — beyond the last acknowledged record — is
-// truncated mid-record or bit-flipped. Recovery must shrug it off: those
-// bytes belong to a decision nobody was ever promised.
+// kill: the last record of the log — beyond the last acknowledged one —
+// is truncated mid-record or bit-flipped, or garbage lands after it,
+// either just past it inside the preallocated space or at the end of
+// the file. Recovery must shrug it off: those bytes belong to a decision
+// nobody was ever promised.
 //
 // With KillAfterSync the final group is durable but unacknowledged (the
 // crash hit between fsync and reply), so the last record on disk is
-// exactly the sacrificial region.
+// exactly the sacrificial region. Every damage is placed relative to the
+// end of that record as wal.ReadLog reports it, not to the end of the
+// file, which preallocation pads with zeros; the scenario checks that
+// the damage destroyed exactly the records it aimed at.
 func TestCrashCorruptedTail(t *testing.T) {
-	damage := map[string]func(t *testing.T, dir string){
-		"truncate-mid-record": func(t *testing.T, dir string) {
+	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}
+	damage := map[string]struct {
+		lost int                              // records the damage destroys
+		hit  func(b []byte, end int64) []byte // end: offset just past the last record
+	}{
+		"truncate-mid-record": {1, func(b []byte, end int64) []byte { return b[:end-5] }},
+		"bit-flip-in-tail": {1, func(b []byte, end int64) []byte {
+			b[end-10] ^= 0xff
+			return b
+		}},
+		"garbage-past-last-record": {0, func(b []byte, end int64) []byte {
+			if n := copy(b[end:], garbage); n < len(garbage) {
+				b = append(b, garbage[n:]...)
+			}
+			return b
+		}},
+		"garbage-appended": {0, func(b []byte, end int64) []byte { return append(b, garbage...) }},
+	}
+	for name, d := range damage {
+		corrupt := func(t *testing.T, dir string) {
 			p := filepath.Join(dir, "shard-0000", "wal.log")
-			sz := fileSize(t, p)
-			if err := os.Truncate(p, sz-5); err != nil {
+			before, tail, err := wal.ReadLog(p)
+			if err != nil {
 				t.Fatal(err)
 			}
-		},
-		"bit-flip-in-tail": func(t *testing.T, dir string) {
-			p := filepath.Join(dir, "shard-0000", "wal.log")
+			if len(before) == 0 || !tail.Clean {
+				t.Fatalf("log before damage: %d records, tail %+v", len(before), tail)
+			}
 			b, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b[len(b)-10] ^= 0xff
-			if err := os.WriteFile(p, b, 0o644); err != nil {
+			if err := os.WriteFile(p, d.hit(b, tail.Offset), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"garbage-appended": func(t *testing.T, dir string) {
-			p := filepath.Join(dir, "shard-0000", "wal.log")
-			f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
+			after, tail, err := wal.ReadLog(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}); err != nil {
-				t.Fatal(err)
+			if len(after) != len(before)-d.lost || tail.Clean {
+				t.Fatalf("%s: %d of %d records left, tail %+v; want %d lost and a torn tail",
+					name, len(after), len(before), tail, d.lost)
 			}
-			f.Close()
-		},
-	}
-	for name, corrupt := range damage {
-		corrupt := corrupt
+		}
 		for _, ckpt := range []int{0, 30} {
 			t.Run(fmt.Sprintf("%s/ckpt=%d", name, ckpt), func(t *testing.T) {
 				runCrashScenario(t, crashScenario{

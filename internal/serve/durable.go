@@ -67,14 +67,16 @@ func shardDir(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", id))
 }
 
-// walOptions builds the per-shard WAL configuration, routing fsync
+// walOptions builds the per-shard WAL configuration, routing sync
 // telemetry into the service metrics.
 func (s *Service) walOptions(cfg *config) wal.Options {
 	return wal.Options{
 		FlushInterval: cfg.flushInterval,
 		Crash:         cfg.crash,
-		OnSync: func(bytes int, d time.Duration) {
+		SyncHook:      cfg.syncHook,
+		OnSync: func(records, bytes int, d time.Duration) {
 			s.fsyncHist.Observe(d.Seconds())
+			s.groupHist.Observe(float64(records))
 			s.walBytes.Add(int64(bytes))
 		},
 	}

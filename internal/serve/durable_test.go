@@ -196,8 +196,15 @@ func TestDurabilityMetrics(t *testing.T) {
 	if reg.Counter("serve_wal_bytes_total").Value() == 0 {
 		t.Fatal("serve_wal_bytes_total stayed 0")
 	}
-	if reg.Histogram("serve_wal_fsync_seconds", nil).Count() == 0 {
+	syncs := reg.Histogram("serve_wal_fsync_seconds", nil).Count()
+	if syncs == 0 {
 		t.Fatal("serve_wal_fsync_seconds observed nothing")
+	}
+	// One group-size sample per sync, and the groups add up to every record.
+	groups := reg.Histogram("serve_wal_group_records", nil)
+	if groups.Count() != syncs || groups.Sum() != n {
+		t.Fatalf("serve_wal_group_records: %d groups of %v records in all, want %d groups of %d",
+			groups.Count(), groups.Sum(), syncs, n)
 	}
 
 	reg2 := obs.NewRegistry()

@@ -105,6 +105,7 @@ type config struct {
 	durDir        string
 	flushInterval time.Duration
 	crash         *wal.CrashPlan // test-only: fault-injection schedule
+	syncHook      func()         // test-only: runs inside every WAL commit's sync slot
 }
 
 // WithPolicy sets the routing policy (default HashByID).
@@ -135,11 +136,20 @@ func WithBackpressure(b Backpressure) Option { return func(c *config) { c.bp = b
 
 // WithMetrics instruments the service through the registry:
 //
-//	serve_shards                  gauge     shard count
-//	serve_shard_jobs_total{shard} counter   decisions per shard
-//	serve_queue_depth{shard}      gauge     queue depth at last batch
-//	serve_batch_size              histogram drained batch sizes
-//	serve_backpressure_total      counter   Reject-mode refusals
+//	serve_shards                    gauge     shard count
+//	serve_shard_jobs_total{shard}   counter   decisions per shard
+//	serve_queue_depth{shard}        gauge     queue depth at last batch
+//	serve_batch_size                histogram drained batch sizes
+//	serve_backpressure_total        counter   Reject-mode refusals
+//
+// and, under WithDurability:
+//
+//	serve_wal_fsync_seconds         histogram write+sync time of each WAL commit group
+//	serve_wal_group_records         histogram records per WAL commit group (one sample per sync)
+//	serve_wal_records_total         counter   records appended to the WAL
+//	serve_wal_bytes_total           counter   WAL bytes made durable
+//	serve_recovery_records_replayed counter   log records re-decided by Restore
+//	serve_recovery_seconds          gauge     wall time of the last Restore
 //
 // A nil registry (the default) keeps the hot path metric-free.
 func WithMetrics(reg *obs.Registry) Option { return func(c *config) { c.reg = reg } }
@@ -177,12 +187,19 @@ func WithDurability(dir string) Option { return func(c *config) { c.durDir = dir
 // WithFlushInterval caps the WAL fsync rate: a commit arriving sooner
 // than d after the previous fsync waits out the remainder, during which
 // the shard queue backs up and the next commit group grows. 0 (default)
-// fsyncs every batch. Only meaningful with WithDurability.
+// fsyncs every batch; groups still grow under load, because the WAL
+// keeps a P free to feed the queues (see package wal). Only meaningful
+// with WithDurability.
 func WithFlushInterval(d time.Duration) Option { return func(c *config) { c.flushInterval = d } }
 
 // withCrashPlan installs a deterministic fault-injection schedule on
 // every shard's WAL and checkpoint path (test-only).
 func withCrashPlan(p *wal.CrashPlan) Option { return func(c *config) { c.crash = p } }
+
+// withSyncHook installs f as every shard's wal.Options.SyncHook: it runs
+// inside the process-wide sync slot at the start of each WAL commit
+// (test-only).
+func withSyncHook(f func()) Option { return func(c *config) { c.syncHook = f } }
 
 // ctlOp distinguishes control requests from submissions on the shard
 // queue; riding the queue gives control ops the same total order as
@@ -241,6 +258,7 @@ type Service struct {
 
 	backpressure *obs.Counter
 	fsyncHist    *obs.Histogram
+	groupHist    *obs.Histogram
 	walRecords   *obs.Counter
 	walBytes     *obs.Counter
 
@@ -351,6 +369,7 @@ func build(shards, m int, eps float64, cfg *config) (*Service, error) {
 	}
 	s.backpressure = cfg.reg.Counter("serve_backpressure_total")
 	s.fsyncHist = cfg.reg.Histogram("serve_wal_fsync_seconds", obs.ExpBucketsRange(1e-6, 4, 12))
+	s.groupHist = cfg.reg.Histogram("serve_wal_group_records", obs.ExpBucketsRange(1, 4096, 13))
 	s.walRecords = cfg.reg.Counter("serve_wal_records_total")
 	s.walBytes = cfg.reg.Counter("serve_wal_bytes_total")
 	cfg.reg.Gauge("serve_shards").Set(float64(shards))

@@ -18,25 +18,48 @@
 //
 // The payload encodes one decision: a type tag, a strictly increasing
 // sequence number, the effective (shard-clamped) job (r, p, d as raw
-// float64 bits) and the verdict (accepted flag, machine, committed start
-// time). Raw bits round-trip floats exactly, so a replayed stream is
-// bit-identical to the served one. The reader accepts the longest valid
-// prefix and reports where and why it stopped (Tail), which is exactly
-// the crash-recovery contract: a torn final write — short header, short
-// payload, or checksum mismatch — only ever destroys records whose
-// verdicts were never released.
+// float64 bits) and the verdict (a flags byte whose only defined bit is
+// "accepted", machine, committed start time). Raw bits round-trip floats
+// exactly, so a replayed stream is bit-identical to the served one. The
+// reader accepts the longest valid prefix and reports where and why it
+// stopped (Tail), which is exactly the crash-recovery contract: a torn
+// final write — short header, short payload, or checksum mismatch — only
+// ever destroys records whose verdicts were never released.
+//
+// The file may extend past the last record with zero bytes: the writer
+// preallocates (see below), and a zero header can never start a record
+// (its length field would be 0). Zeros from a record boundary to the end
+// of the file are therefore the clean end of the log; any nonzero byte
+// after that boundary makes the tail torn. Logs without a zero tail read
+// exactly as before, and a reader that predates preallocation sees the
+// zero tail as torn and truncates it, which loses nothing.
 //
 // # Group commit
 //
 // Append only buffers; Commit makes everything buffered durable with a
-// single write+fsync. The serving layer appends a whole drained batch and
-// commits once before replying, so the fsync cost amortizes over the
-// batch. A configurable FlushInterval additionally caps the fsync rate:
+// single write+sync. The serving layer appends a whole drained batch and
+// commits once before replying, so the sync cost amortizes over the
+// batch. A configurable FlushInterval additionally caps the sync rate:
 // when the previous sync is more recent than the interval, Commit waits
 // out the remainder, during which the shard's queue backs up and the next
-// batch — the next commit group — grows. Under a storm of tiny batches
-// this trades bounded extra latency (≤ one interval) for an order of
-// magnitude fewer fsyncs.
+// batch — the next commit group — grows.
+//
+// Groups only grow if the goroutines that feed the queues get to run
+// while a sync is in flight. A goroutine blocked in a file sync keeps its
+// P (one of the runtime's GOMAXPROCS scheduler slots) until the runtime's
+// monitor thread retakes it, 20 µs to 10 ms later; with as many syncing
+// shards as Ps, nothing else runs and every group holds about one record.
+// So every blocking sync in this package — Commit's write+sync, Rotate,
+// OpenAppend, WriteFileAtomic and the directory syncs — takes one of
+// max(1, GOMAXPROCS−1) process-wide sync slots, and waits for one without
+// holding a P. One P always stays free to feed the shards. Commit's
+// FlushInterval wait happens before it takes a slot.
+//
+// On Linux each sync is also cheaper: Commit grows the file with
+// fallocate in 64 KiB steps when a group needs room, writes the group
+// into that zero-filled space and syncs it with fdatasync, which skips
+// the inode updates a plain append would force. Where fallocate is
+// unsupported, Commit appends and fsyncs.
 //
 // # Fault injection
 //
@@ -78,9 +101,10 @@ const (
 	payloadLen     = 1 + 8 + 8 + 3*8 + 1 + 8 + 8 // type, seq, id, r/p/d, flags, machine, start
 	headerLen      = 8                           // length + CRC
 	recordLen      = headerLen + payloadLen
-	acceptedFlag   = 1
+	acceptedFlag   = 1       // the only defined bit of the flags byte
 	maxSanePayload = 1 << 20 // corrupt length fields fail fast
 	fileMode       = 0o644
+	preallocStep   = 64 << 10 // Commit grows the file in steps of this many bytes
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -121,6 +145,9 @@ func decodePayload(p []byte) (Record, error) {
 	r.Job.Release = math.Float64frombits(binary.LittleEndian.Uint64(p[17:]))
 	r.Job.Proc = math.Float64frombits(binary.LittleEndian.Uint64(p[25:]))
 	r.Job.Deadline = math.Float64frombits(binary.LittleEndian.Uint64(p[33:]))
+	if p[41]&^acceptedFlag != 0 {
+		return Record{}, fmt.Errorf("wal: unknown flags %#x", p[41])
+	}
 	r.Decision.JobID = r.Job.ID
 	r.Decision.Accepted = p[41]&acceptedFlag != 0
 	r.Decision.Machine = int(int64(binary.LittleEndian.Uint64(p[42:])))
@@ -133,7 +160,8 @@ type Tail struct {
 	// Offset is the byte offset just past the last valid record — the
 	// truncation point for reopening the log in append mode.
 	Offset int64
-	// Clean is true when the log ends exactly at a record boundary.
+	// Clean is true when the log ends at a record boundary, possibly
+	// followed by zero bytes only (preallocated space).
 	Clean bool
 	// Reason explains a non-clean tail (torn header, torn payload,
 	// checksum mismatch, bad length, sequence gap).
@@ -142,14 +170,15 @@ type Tail struct {
 
 // DecodeAll decodes the longest valid record prefix of b. Records must
 // carry strictly consecutive sequence numbers; the first violation — like
-// any torn or corrupt data — ends the valid prefix. A non-clean tail is
-// not an error: it is the expected shape of a log cut by a crash.
+// any torn or corrupt data — ends the valid prefix. A record boundary
+// followed only by zero bytes is the clean end of the log. A non-clean
+// tail is not an error: it is the expected shape of a log cut by a crash.
 func DecodeAll(b []byte) ([]Record, Tail) {
 	var recs []Record
 	off := int64(0)
 	for {
 		rest := b[off:]
-		if len(rest) == 0 {
+		if allZero(rest) {
 			return recs, Tail{Offset: off, Clean: true}
 		}
 		if len(rest) < headerLen {
@@ -177,6 +206,22 @@ func DecodeAll(b []byte) ([]Record, Tail) {
 		recs = append(recs, rec)
 		off += int64(headerLen + int(n))
 	}
+}
+
+// allZero reports whether every byte of b is zero. It stops at the first
+// nonzero word, so the check costs one load at each record boundary.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadLog reads and decodes the log at path. A missing file is not an
@@ -298,13 +343,17 @@ func (p *CrashPlan) Crashed() bool {
 
 // Options configures a Writer.
 type Options struct {
-	// FlushInterval caps the fsync rate (see the package comment).
+	// FlushInterval caps the sync rate (see the package comment).
 	// 0 syncs on every Commit.
 	FlushInterval time.Duration
-	// OnSync observes every completed fsync: bytes made durable and the
-	// write+fsync wall time. Used by the serving layer's fsync-latency
-	// histogram. May be nil.
-	OnSync func(bytes int, d time.Duration)
+	// OnSync observes every completed Commit sync: the records and bytes
+	// made durable and the write+sync wall time, excluding the wait for a
+	// sync slot. Used by the serving layer's WAL metrics. May be nil.
+	OnSync func(records, bytes int, d time.Duration)
+	// SyncHook runs inside the sync slot at the start of every Commit
+	// sync. Test hook: it lets a test count the goroutines inside a sync
+	// or hold one open. nil in production.
+	SyncHook func()
 	// Crash is the fault-injection schedule. nil runs normally.
 	Crash *CrashPlan
 }
@@ -316,10 +365,15 @@ type Writer struct {
 	f       *os.File
 	opt     Options
 	buf     []byte // encoded records not yet durable
+	records int    // records in buf
 	nextSeq int64
-	synced  int64 // bytes durably written and fsynced
-	last    time.Time
-	err     error // sticky: after any failure the writer refuses all work
+	synced  int64 // bytes durably written and synced: the end of the log
+	// size is the file size: synced plus the zero-filled preallocated
+	// space after it. Only tracked while prealloc is on.
+	size     int64
+	prealloc bool // grow with fallocate and sync with fdatasync
+	last     time.Time
+	err      error // sticky: after any failure the writer refuses all work
 }
 
 // Create creates (or truncates) a fresh log at path and fsyncs the
@@ -333,30 +387,34 @@ func Create(path string, opt Options) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, opt: opt, nextSeq: 1}, nil
+	return &Writer{f: f, opt: opt, nextSeq: 1, prealloc: canPrealloc}, nil
 }
 
 // OpenAppend reopens a recovered log for appending: it truncates the
-// torn tail at validLen (dropping bytes no verdict was ever released
-// for) and continues the sequence at nextSeq.
+// torn tail (or the preallocated zeros) at validLen — dropping bytes no
+// verdict was ever released for — and continues the sequence at nextSeq.
 func OpenAppend(path string, validLen, nextSeq int64, opt Options) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, fileMode)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+	err = withSyncSlot(func() error {
+		if err := f.Truncate(validLen); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("wal: sync after truncate: %w", err)
+		}
+		return nil
+	})
+	if err == nil {
+		_, err = f.Seek(validLen, 0)
 	}
-	if _, err := f.Seek(validLen, 0); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: seek: %w", err)
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: sync after truncate: %w", err)
-	}
-	return &Writer{f: f, opt: opt, nextSeq: nextSeq, synced: validLen}, nil
+	return &Writer{f: f, opt: opt, nextSeq: nextSeq, synced: validLen, size: validLen, prealloc: canPrealloc}, nil
 }
 
 // NextSeq returns the sequence number the next Append will use.
@@ -387,16 +445,18 @@ func (w *Writer) Append(j job.Job, dec online.Decision) (int64, error) {
 	}
 	seq := w.nextSeq
 	w.buf = appendRecord(w.buf, Record{Seq: seq, Job: j, Decision: dec})
+	w.records++
 	w.nextSeq++
 	return seq, nil
 }
 
-// Commit makes every buffered record durable: one write, one fsync.
-// Under a FlushInterval it first waits out the remainder of the interval
-// since the previous sync, growing the next group instead of syncing
-// per tiny batch. On return with nil, every previously appended record
-// will survive a crash; on error, none of the still-buffered records
-// were promised to anyone and the writer is poisoned.
+// Commit makes every buffered record durable: one write, one sync, in
+// one of the process-wide sync slots. Under a FlushInterval it first
+// waits out the remainder of the interval since the previous sync,
+// growing the next group instead of syncing per tiny batch. On return
+// with nil, every previously appended record will survive a crash; on
+// error, none of the still-buffered records were promised to anyone and
+// the writer is poisoned.
 func (w *Writer) Commit() error {
 	if w.err != nil {
 		return w.err
@@ -412,29 +472,17 @@ func (w *Writer) Commit() error {
 			time.Sleep(wait)
 		}
 	}
-	if w.opt.Crash.Fire(KillMidSync) {
-		n := w.opt.Crash.TornBytes
-		if n > len(w.buf) {
-			n = len(w.buf)
-		}
-		if n > 0 {
-			w.f.Write(w.buf[:n]) // torn write: reaches the file, never fsynced
-		}
-		return w.fail(ErrCrashed)
+	d, err := w.writeBuf()
+	if err != nil {
+		return w.fail(err)
 	}
-	start := time.Now()
-	if _, err := w.f.Write(w.buf); err != nil {
-		return w.fail(fmt.Errorf("wal: write: %w", err))
-	}
-	if err := w.f.Sync(); err != nil {
-		return w.fail(fmt.Errorf("wal: fsync: %w", err))
-	}
-	n := len(w.buf)
+	records, n := w.records, len(w.buf)
 	w.synced += int64(n)
 	w.buf = w.buf[:0]
+	w.records = 0
 	w.last = time.Now()
 	if w.opt.OnSync != nil {
-		w.opt.OnSync(n, w.last.Sub(start))
+		w.opt.OnSync(records, n, d)
 	}
 	if w.opt.Crash.Fire(KillAfterSync) {
 		return w.fail(ErrCrashed)
@@ -442,11 +490,66 @@ func (w *Writer) Commit() error {
 	return nil
 }
 
+// writeBuf writes the buffered records at the end of the log and syncs
+// them in a sync slot, returning the time the write and sync took.
+func (w *Writer) writeBuf() (time.Duration, error) {
+	syncSlots.acquire()
+	defer syncSlots.release()
+	if w.opt.SyncHook != nil {
+		w.opt.SyncHook()
+	}
+	start := time.Now()
+	if err := w.reserve(int64(len(w.buf))); err != nil {
+		return 0, err
+	}
+	if w.opt.Crash.Fire(KillMidSync) {
+		if n := min(w.opt.Crash.TornBytes, len(w.buf)); n > 0 {
+			w.f.Write(w.buf[:n]) // torn write: reaches the file, never synced
+		}
+		return 0, ErrCrashed
+	}
+	if _, err := w.f.Write(w.buf); err != nil {
+		return 0, fmt.Errorf("wal: write: %w", err)
+	}
+	sync := (*os.File).Sync
+	if w.prealloc {
+		sync = fdatasync
+	}
+	if err := sync(w.f); err != nil {
+		return 0, fmt.Errorf("wal: sync: %w", err)
+	}
+	return time.Since(start), nil
+}
+
+// reserve makes room for n more bytes after the log, growing the file
+// by whole preallocStep steps of zeros when the preallocated space is
+// short. The first fdatasync after the growth makes the new size
+// durable. A file system without fallocate turns preallocation off for
+// the writer: Commit then appends and fsyncs.
+func (w *Writer) reserve(n int64) error {
+	short := w.synced + n - w.size
+	if !w.prealloc || short <= 0 {
+		return nil
+	}
+	grow := (short + preallocStep - 1) / preallocStep * preallocStep
+	err := fallocate(w.f, w.size, grow)
+	if errors.Is(err, errors.ErrUnsupported) {
+		w.prealloc = false
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("wal: preallocate: %w", err)
+	}
+	w.size += grow
+	return nil
+}
+
 // Rotate truncates the log after a checkpoint: every record is covered
 // by the freshly installed snapshot, so the file restarts empty while
 // the sequence keeps counting (recovery matches snapshot.LastSeq against
 // record sequences, so a crash between snapshot install and rotation is
-// harmless — covered records are skipped, not replayed twice).
+// harmless — covered records are skipped, not replayed twice). The
+// rotated file is empty; the next Commit preallocates again.
 func (w *Writer) Rotate() error {
 	if w.err != nil {
 		return w.err
@@ -454,26 +557,41 @@ func (w *Writer) Rotate() error {
 	if len(w.buf) != 0 {
 		return w.fail(errors.New("wal: rotate with uncommitted records"))
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return w.fail(fmt.Errorf("wal: rotate: %w", err))
+	err := withSyncSlot(func() error {
+		if err := w.f.Truncate(0); err != nil {
+			return fmt.Errorf("wal: rotate: %w", err)
+		}
+		if err := w.f.Sync(); err != nil {
+			return fmt.Errorf("wal: rotate fsync: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return w.fail(err)
 	}
 	if _, err := w.f.Seek(0, 0); err != nil {
 		return w.fail(fmt.Errorf("wal: rotate seek: %w", err))
 	}
-	if err := w.f.Sync(); err != nil {
-		return w.fail(fmt.Errorf("wal: rotate fsync: %w", err))
-	}
-	w.synced = 0
+	w.synced, w.size = 0, 0
 	return nil
 }
 
 // Close closes the underlying file. Buffered but uncommitted records are
-// deliberately dropped: no verdict was ever released for them.
+// deliberately dropped: no verdict was ever released for them. A healthy
+// writer first cuts the preallocated zeros off, so a cleanly closed log
+// ends at its last record, as logs written without preallocation do and
+// as Restore reads fastest. The cut is not synced: if it is lost, the
+// zeros still read as a clean end. After a crash (of this writer or of
+// its CrashPlan) the file stays as the crash left it.
 func (w *Writer) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Close()
+	var err error
+	if w.err == nil && !w.opt.Crash.Crashed() && w.size > w.synced {
+		err = w.f.Truncate(w.synced)
+	}
+	err = errors.Join(err, w.f.Close())
 	w.f = nil
 	return err
 }
@@ -490,12 +608,13 @@ func WriteFileAtomic(path string, blob []byte, plan *CrashPlan) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
+	err = withSyncSlot(func() error {
+		if _, err := tmp.Write(blob); err != nil {
+			return err
+		}
+		return tmp.Sync()
+	})
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -520,5 +639,5 @@ func syncDir(dir string) error {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return withSyncSlot(d.Sync)
 }

@@ -329,7 +329,7 @@ func TestFlushIntervalCoalesces(t *testing.T) {
 	var syncs int
 	w, err := Create(path, Options{
 		FlushInterval: 5 * time.Millisecond,
-		OnSync:        func(int, time.Duration) { syncs++ },
+		OnSync:        func(int, int, time.Duration) { syncs++ },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -308,7 +308,9 @@ func WithDurability(dir string) ServeOption { return serve.WithDurability(dir) }
 // WithDurabilityFlushInterval caps the commitment-log fsync rate: a
 // commit arriving sooner than d after the previous fsync waits out the
 // remainder, growing the next commit group instead of syncing per tiny
-// batch. 0 (the default) fsyncs every batch.
+// batch. 0 (the default) fsyncs every batch. Commit groups grow under
+// load without it, so set it only to cap the sync rate itself; each
+// interval can add up to d to a verdict's latency.
 func WithDurabilityFlushInterval(d time.Duration) ServeOption {
 	return serve.WithFlushInterval(d)
 }
