@@ -217,6 +217,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz 'FuzzSlackBoundary' -fuzztime 10s ./internal/job/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzGenerators' -fuzztime 10s ./internal/workload/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzDecodeAll' -fuzztime 10s ./internal/wal/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/netserve/
 
 # verify is the CI gate: formatting, static checks, a full build and the
 # race-enabled test suite (which includes the zero-alloc observability

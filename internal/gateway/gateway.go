@@ -6,6 +6,13 @@
 // and promoting the standby on primary death — provably without
 // revoking a single acknowledged verdict.
 //
+// Routing spans both tiers. With G groups of backends that run S shards
+// each, the router spreads jobs over all G·S (group, shard) lanes and a
+// job goes to group ⌊Route(j, G·S) / S⌋; the backend then routes it
+// with Route(j, S) as it always does. Routing each tier by the same
+// Route(j, ·) would let a job's group fix its shard and leave most
+// lanes — and their machines — idle.
+//
 // The determinism that makes the failover proof possible: each group
 // runs ONE sequencer goroutine holding ONE connection to its primary
 // with at most one SubmitBatch in flight, so the primary decides jobs
@@ -70,7 +77,6 @@ type config struct {
 	probeInterval time.Duration
 	failThreshold int
 	journal       bool
-	batchLimit    int
 	mirrorGate    func() // test-only: blocks the mirror loop before each apply
 }
 
@@ -83,14 +89,14 @@ func defaultConfig() config {
 		dialTimeout:   5 * time.Second,
 		probeInterval: 500 * time.Millisecond,
 		failThreshold: 3,
-		batchLimit:    netserve.MaxBatchJobs,
 	}
 }
 
 // WithRouter sets the group-routing policy (default HashByID). The same
 // serve.Policy implementations route jobs to shards inside a backend;
-// here they route jobs to backend groups, one level up. The policy must
-// be deterministic for the routing-determinism guarantee to hold.
+// here they route jobs over every (group, shard) lane, one level up, and
+// the lane fixes the group (see the package comment). The policy must be
+// deterministic for the routing-determinism guarantee to hold.
 func WithRouter(p serve.Policy) Option { return func(c *config) { c.router = p } }
 
 // WithMetrics instruments the gateway through the registry:
@@ -146,10 +152,6 @@ func WithFailThreshold(n int) Option { return func(c *config) { c.failThreshold 
 // it grows with traffic, so a long-lived daemon leaves it off.
 func WithJournal() Option { return func(c *config) { c.journal = true } }
 
-// WithBatchLimit caps how many jobs the sequencer coalesces into one
-// backend round trip (default netserve.MaxBatchJobs).
-func WithBatchLimit(n int) Option { return func(c *config) { c.batchLimit = n } }
-
 // withMirrorGate is the white-box test hook: f runs in the mirror loop
 // before each record is applied to the standby, letting tests hold the
 // mirror at a known lag deterministically.
@@ -162,6 +164,7 @@ func withMirrorGate(f func()) Option { return func(c *config) { c.mirrorGate = f
 type Gateway struct {
 	cfg    config
 	groups []*group
+	pool   sync.Pool // *gwReq
 
 	mu     sync.Mutex
 	closed bool
@@ -170,6 +173,7 @@ type Gateway struct {
 	probeWg sync.WaitGroup
 
 	ack struct { // uniform backend topology, validated at New
+		shards   int
 		machines int
 		eps      float64
 		policy   string
@@ -207,9 +211,6 @@ func New(specs []BackendSpec, opts ...Option) (*Gateway, error) {
 	if cfg.mirrorDepth < 1 {
 		cfg.mirrorDepth = 1
 	}
-	if cfg.batchLimit < 1 || cfg.batchLimit > netserve.MaxBatchJobs {
-		cfg.batchLimit = netserve.MaxBatchJobs
-	}
 	gw := &Gateway{
 		cfg:     cfg,
 		closeCh: make(chan struct{}),
@@ -226,6 +227,11 @@ func New(specs []BackendSpec, opts ...Option) (*Gateway, error) {
 	}
 	gw.shedIntake = gw.shedTotal.With("intake")
 	gw.shedMirror = gw.shedTotal.With("mirror")
+	gw.pool.New = func() any {
+		r := &gwReq{done: make(chan struct{}, 1)}
+		r.jobs, r.out = r.oneJob[:0], r.oneOut[:0]
+		return r
+	}
 
 	for i, spec := range specs {
 		g, err := newGroup(gw, i, spec)
@@ -255,17 +261,20 @@ func New(specs []BackendSpec, opts ...Option) (*Gateway, error) {
 }
 
 // checkTopology folds one backend's handshake into the gateway-wide
-// view, requiring every backend to match the first.
+// view, requiring every backend to match the first. The shard count
+// must match too: the group rule divides lanes by it, and a standby
+// mirrors its primary bit-identically only with the same shards.
 func (gw *Gateway) checkTopology(addr string, cl *netserve.Client) error {
 	if gw.ack.policy == "" {
+		gw.ack.shards = cl.Shards()
 		gw.ack.machines = cl.Machines()
 		gw.ack.eps = cl.Eps()
 		gw.ack.policy = cl.Policy()
 		return nil
 	}
-	if cl.Machines() != gw.ack.machines || cl.Eps() != gw.ack.eps || cl.Policy() != gw.ack.policy {
-		return fmt.Errorf("gateway: backend %s advertises m=%d eps=%g policy=%q, cluster runs m=%d eps=%g policy=%q",
-			addr, cl.Machines(), cl.Eps(), cl.Policy(), gw.ack.machines, gw.ack.eps, gw.ack.policy)
+	if cl.Shards() != gw.ack.shards || cl.Machines() != gw.ack.machines || cl.Eps() != gw.ack.eps || cl.Policy() != gw.ack.policy {
+		return fmt.Errorf("gateway: backend %s advertises shards=%d m=%d eps=%g policy=%q, cluster runs shards=%d m=%d eps=%g policy=%q",
+			addr, cl.Shards(), cl.Machines(), cl.Eps(), cl.Policy(), gw.ack.shards, gw.ack.machines, gw.ack.eps, gw.ack.policy)
 	}
 	return nil
 }
@@ -297,14 +306,9 @@ func (gw *Gateway) Submit(j job.Job) (online.Decision, error) {
 
 // SubmitSpan is Submit with request-lifecycle tracing.
 func (gw *Gateway) SubmitSpan(j job.Job, sp *obs.Span) (online.Decision, error) {
-	g := gw.groups[gw.route(j)]
-	r := &gwReq{jobs: []job.Job{j}, out: make([]serve.BatchResult, 1), sp: sp,
-		enq: gw.cfg.spans.Now(), done: make(chan struct{})}
-	if err := g.enqueue(r); err != nil {
-		return online.Decision{}, err
-	}
-	<-r.done
-	return r.out[0].Dec, r.out[0].Err
+	var out [1]serve.BatchResult
+	gw.submit([]job.Job{j}, out[:], sp)
+	return out[0].Dec, out[0].Err
 }
 
 // SubmitBatch proxies a batch, scattering jobs to their groups and
@@ -313,54 +317,170 @@ func (gw *Gateway) SubmitBatch(jobs []job.Job) []serve.BatchResult {
 	return gw.SubmitBatchSpan(jobs, nil)
 }
 
-// SubmitBatchSpan routes each job to its group — preserving relative
-// order within every group, which is what per-backend determinism is
-// defined over — enqueues one request per group, and waits for all of
-// them.
+// SubmitBatchSpan is SubmitBatch with request-lifecycle tracing: sp
+// gets the intake wait (queue) and the backend round trip (decide) —
+// the maximum of each over the groups the batch reached, which wait
+// concurrently — and the lowest such group as its Shard.
 func (gw *Gateway) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []serve.BatchResult {
 	out := make([]serve.BatchResult, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	n := len(gw.groups)
-	perGroup := make([][]job.Job, n)
-	perIdx := make([][]int, n)
-	for i, j := range jobs {
-		gi := gw.route(j)
-		perGroup[gi] = append(perGroup[gi], j)
-		perIdx[gi] = append(perIdx[gi], i)
-	}
-	enq := gw.cfg.spans.Now()
-	reqs := make([]*gwReq, 0, n)
-	for gi, sub := range perGroup {
-		if len(sub) == 0 {
-			continue
-		}
-		r := &gwReq{jobs: sub, out: make([]serve.BatchResult, len(sub)), sp: sp,
-			enq: enq, idxs: perIdx[gi], done: make(chan struct{})}
-		if err := gw.groups[gi].enqueue(r); err != nil {
-			for _, i := range perIdx[gi] {
-				out[i].Err = err
-			}
-			continue
-		}
-		reqs = append(reqs, r)
-	}
-	for _, r := range reqs {
-		<-r.done
-		for k, i := range r.idxs {
-			out[i] = r.out[k]
-		}
-	}
+	gw.submit(jobs, out, sp)
 	return out
 }
 
-func (gw *Gateway) route(j job.Job) int {
-	gi := gw.cfg.router.Route(j, len(gw.groups))
-	if gi < 0 || gi >= len(gw.groups) {
-		gi = 0
+// submit is the one submission path under Submit, SubmitSpan,
+// SubmitBatch and SubmitBatchSpan: a job is a batch of one. It enqueues
+// one request per group — preserving relative order within every group,
+// which is what per-backend determinism is defined over — waits for all
+// of them and writes job i's result into out[i]. Requests copy jobs in
+// and results out, so neither slice is retained. As in serve, the frame
+// is kept small: the front server calls this from a fresh goroutine per
+// frame.
+func (gw *Gateway) submit(jobs []job.Job, out []serve.BatchResult, sp *obs.Span) {
+	if len(jobs) == 0 {
+		return
 	}
-	return gi
+	head := gw.split(jobs)
+	traced := gw.cfg.spans != nil && sp != nil
+	enq := gw.cfg.spans.Now()
+	for r := head; r != nil; r = r.link {
+		r.traced, r.enq = traced, enq
+		if err := gw.groups[r.group].enqueue(r); err != nil {
+			// Answer the refused request on the spot, so every request is
+			// waited on alike.
+			for k := range r.out {
+				r.out[k] = serve.BatchResult{Err: err}
+			}
+			r.done <- struct{}{}
+		}
+	}
+	if !traced {
+		sp = nil
+	}
+	gw.collect(head, out, sp)
+}
+
+// split routes every job exactly once, in order (round-robin counts
+// calls), into one pooled request per group, linked in group order from
+// head. A batch that lands in one group — every one-job batch does —
+// needs no scatter buffers; otherwise head keeps them for collect.
+func (gw *Gateway) split(jobs []job.Job) (head *gwReq) {
+	var groupOf []int32
+	first := gw.route(jobs[0])
+	for i := 1; i < len(jobs); i++ {
+		gi := gw.route(jobs[i])
+		if groupOf == nil && gi != first {
+			groupOf = make([]int32, len(jobs))
+			for k := range i {
+				groupOf[k] = int32(first)
+			}
+		}
+		if groupOf != nil {
+			groupOf[i] = int32(gi)
+		}
+	}
+	if groupOf == nil {
+		head = gw.getReq(first)
+		for _, j := range jobs {
+			head.add(j)
+		}
+		return head
+	}
+	byGroup := make([]*gwReq, len(gw.groups))
+	for i, j := range jobs {
+		r := byGroup[groupOf[i]]
+		if r == nil {
+			r = gw.getReq(int(groupOf[i]))
+			byGroup[groupOf[i]] = r
+		}
+		r.add(j)
+	}
+	tail := &head
+	for _, r := range byGroup {
+		if r != nil {
+			*tail = r
+			tail = &r.link
+		}
+	}
+	head.groupOf, head.byGroup = groupOf, byGroup
+	return head
+}
+
+// collect waits for every request of a batch, gathers job i's result
+// into out[i], stamps sp (nil when untraced) with the intake wait
+// (queue) and the backend round trip (decide) — the maximum of each
+// over the groups the batch reached, which wait concurrently — and the
+// lowest such group as its Shard, and pools the requests.
+func (gw *Gateway) collect(head *gwReq, out []serve.BatchResult, sp *obs.Span) {
+	for r := head; r != nil; r = r.link {
+		<-r.done
+	}
+	if head.groupOf == nil {
+		copy(out, head.out)
+	} else {
+		for i := range out {
+			r := head.byGroup[head.groupOf[i]]
+			out[i] = r.out[r.next]
+			r.next++
+		}
+	}
+	if sp != nil {
+		sp.Shard = int32(head.group)
+		sp.Stages[obs.StageQueue], sp.Stages[obs.StageDecide] = 0, 0
+		for r := head; r != nil; r = r.link {
+			sp.Stages[obs.StageQueue] = max(sp.Stages[obs.StageQueue], r.queue)
+			sp.Stages[obs.StageDecide] = max(sp.Stages[obs.StageDecide], r.decide)
+		}
+	}
+	for r := head; r != nil; {
+		next := r.link
+		gw.putReq(r)
+		r = next
+	}
+}
+
+// getReq hands out a pooled request for group gi.
+func (gw *Gateway) getReq(gi int) *gwReq {
+	r := gw.pool.Get().(*gwReq)
+	r.group = gi
+	return r
+}
+
+// add appends a job and the slot for its result.
+func (r *gwReq) add(j job.Job) {
+	r.jobs = append(r.jobs, j)
+	r.out = append(r.out, serve.BatchResult{})
+}
+
+// putReq resets a finished request and pools it.
+func (gw *Gateway) putReq(r *gwReq) {
+	clear(r.out) // results may hold errors; the pool must not pin them
+	if cap(r.jobs) > netserve.MaxBatchJobs {
+		r.jobs, r.out = r.oneJob[:0], r.oneOut[:0]
+	}
+	r.jobs, r.out = r.jobs[:0], r.out[:0]
+	r.link, r.next, r.groupOf, r.byGroup = nil, 0, nil, nil
+	r.traced, r.queue, r.decide = false, 0, 0
+	gw.pool.Put(r)
+}
+
+// route returns the job's group; S is the backends' shard count from
+// HELLO.
+func (gw *Gateway) route(j job.Job) int {
+	return groupOf(gw.cfg.router, j, len(gw.groups), gw.ack.shards)
+}
+
+// groupOf is the gateway's group rule: router p spreads jobs over all
+// groups·shards (group, shard) lanes, and the group is the lane divided
+// by shards. A backend routes the job with Route(j, shards), which for
+// hash-by-id and length-class is the same lane modulo shards, so every
+// lane gets its share instead of a job's group fixing its shard.
+func groupOf(p serve.Policy, j job.Job, groups, shards int) int {
+	lanes := groups * shards
+	lane := p.Route(j, lanes)
+	if lane < 0 || lane >= lanes {
+		lane = 0
+	}
+	return lane / shards
 }
 
 // DrainBackend takes group gi's primary out of rotation without

@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,12 +239,12 @@ func TestGatewayFailover(t *testing.T) {
 	}
 }
 
-// TestRoutingDeterminism is the satellite-3 table: the same job stream
-// submitted through the gateway and submitted directly to the per-group
-// backends (routing by hand with a fresh router instance) must produce
-// identical per-backend decision logs — for every router × admission
-// policy combination. The gateway adds a network hop and a sequencer,
-// never a decision.
+// TestRoutingDeterminism is the routing-determinism table: the same job
+// stream submitted through the gateway and submitted directly to the
+// per-group backends (routing by hand with a fresh router instance under
+// the gateway's group rule) must produce identical per-backend decision
+// logs — for every router × admission policy combination. The gateway
+// adds a network hop and a sequencer, never a decision.
 func TestRoutingDeterminism(t *testing.T) {
 	routers := []func() serve.Policy{serve.HashByID, serve.LengthClass, serve.RoundRobin}
 	policies := []string{"threshold", "greedy", "delta-commit:delta=0.5"}
@@ -279,10 +280,7 @@ func TestRoutingDeterminism(t *testing.T) {
 					if _, err := gw.Submit(j); err != nil {
 						t.Fatalf("gateway submit job %d: %v", j.ID, err)
 					}
-					gi := shadow.Route(j, groups)
-					if gi < 0 || gi >= groups {
-						gi = 0
-					}
+					gi := groupOf(shadow, j, groups, backendShards)
 					if _, err := direct[gi].svc.Submit(j); err != nil {
 						t.Fatalf("direct submit job %d: %v", j.ID, err)
 					}
@@ -295,6 +293,49 @@ func TestRoutingDeterminism(t *testing.T) {
 						Streams(viaGW[g].svc), Streams(direct[g].svc))
 				}
 			})
+		}
+	}
+}
+
+// TestLaneCoverage is the two-tier routing table: for every router at
+// groups, shards ∈ {2,3,4}, the gateway's group rule followed by each
+// backend's own Route(j, S) must reach every (group, shard) lane. Under
+// hash-by-id and round-robin each lane holds its share N/(G·S) within
+// ±5%; under length-class every lane gets jobs once job lengths span
+// G·S binary classes. Routing both tiers with Route(j, ·) alone would
+// leave lanes idle wherever G and S share a factor.
+func TestLaneCoverage(t *testing.T) {
+	const n = 21600 // a multiple of every G·S in the table
+	for _, mkRouter := range []func() serve.Policy{serve.HashByID, serve.LengthClass, serve.RoundRobin} {
+		for groups := 2; groups <= 4; groups++ {
+			for shards := 2; shards <= 4; shards++ {
+				name := fmt.Sprintf("%s/%dx%d", mkRouter().Name(), groups, shards)
+				t.Run(name, func(t *testing.T) {
+					lanes := groups * shards
+					gwRouter := mkRouter()
+					backend := make([]serve.Policy, groups) // one router per backend, as each daemon has its own
+					for g := range backend {
+						backend[g] = mkRouter()
+					}
+					count := make([]int, lanes)
+					for i := 0; i < n; i++ {
+						// Lengths cycle through `lanes` binary classes.
+						j := job.Job{ID: i, Proc: 1.5 * float64(int(1)<<(i%lanes)), Deadline: 1e9}
+						g := groupOf(gwRouter, j, groups, shards)
+						s := backend[g].Route(j, shards)
+						count[g*shards+s]++
+					}
+					share := float64(n) / float64(lanes)
+					for lane, c := range count {
+						if c == 0 {
+							t.Fatalf("lane (group %d, shard %d) got no jobs: %v", lane/shards, lane%shards, count)
+						}
+						if gwRouter.Name() != "length-class" && math.Abs(float64(c)-share) > 0.05*share {
+							t.Fatalf("lane (group %d, shard %d) got %d jobs, share %.0f ± 5%%: %v", lane/shards, lane%shards, c, share, count)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -441,6 +482,97 @@ func TestDrainPromotesStandby(t *testing.T) {
 	if got := len(gw.Journal(0)); got != len(inst) {
 		t.Fatalf("journal has %d entries, want %d", got, len(inst))
 	}
+}
+
+// TestGatewaySpanVerdicts: behind a traced front server, every finished
+// span carries the verdict its frame got through the gateway — a
+// one-job frame its job's accept or reject, a batch its dominant
+// verdict, and a frame the gateway shed (mirror lag bound) "shed".
+func TestGatewaySpanVerdicts(t *testing.T) {
+	const spec = "threshold"
+	gate := make(chan struct{})
+	specs := []BackendSpec{
+		{Primary: startBackend(t, 2, 2, 0.5, spec).addr()},
+		{Primary: startBackend(t, 2, 2, 0.5, spec).addr(), Standby: startBackend(t, 2, 2, 0.5, spec).addr()},
+	}
+	gw, err := New(specs, WithProbeInterval(0), WithMirrorDepth(1), withMirrorGate(func() { <-gate }))
+	if err != nil {
+		t.Fatalf("gateway.New: %v", err)
+	}
+	released := false
+	defer func() {
+		if !released {
+			close(gate)
+		}
+		gw.Close()
+	}()
+	rec := obs.NewSpanRecorder(obs.NewRegistry(), obs.WithSpanRing(1024), obs.WithSlowLog(nil))
+	front, err := netserve.Serve(gw, "127.0.0.1:0", netserve.WithServerSpans(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	cl, err := netserve.Dial(front.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// One-job frames until group 1's gated mirror sheds one: group 0 has
+	// no standby and decides every job routed to it.
+	want := map[int64]string{}
+	inst := workload.Poisson(workload.Spec{N: 200, Eps: 0.5, M: 8, Load: 2, Seed: 5})
+	sheds := 0
+	for _, j := range inst[:150] {
+		dec, err := cl.Submit(j)
+		switch {
+		case errors.Is(err, netserve.ErrShed):
+			want[int64(j.ID)] = obs.VerdictShed
+			sheds++
+		case err != nil:
+			t.Fatalf("submit job %d: %v", j.ID, err)
+		case dec.Accepted:
+			want[int64(j.ID)] = obs.VerdictAccept
+		default:
+			want[int64(j.ID)] = obs.VerdictReject
+		}
+	}
+	if sheds == 0 {
+		t.Fatal("no frame shed with group 1's mirror gated at depth 1")
+	}
+	close(gate)
+	released = true
+	batch := inst[150:]
+	res, err := cl.SubmitBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[int64(batch[0].ID)] = serve.SpanVerdict(toServe(res))
+	if err := front.Close(); err != nil { // every span is finished once its reply is written
+		t.Fatal(err)
+	}
+
+	spans := rec.Recent()
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans for %d frames", len(spans), len(want))
+	}
+	for _, sp := range spans {
+		if sp.Verdict == "" || sp.Verdict != want[sp.JobID] {
+			t.Fatalf("span for job %d has verdict %q, the client saw %q", sp.JobID, sp.Verdict, want[sp.JobID])
+		}
+	}
+}
+
+// toServe converts client results to the serve type SpanVerdict reads.
+func toServe(res []netserve.BatchResult) []serve.BatchResult {
+	out := make([]serve.BatchResult, len(res))
+	for i, r := range res {
+		out[i] = serve.BatchResult{Dec: r.Dec, Err: r.Err}
+		if errors.Is(r.Err, netserve.ErrShed) {
+			out[i].Err = serve.ErrBackpressure
+		}
+	}
+	return out
 }
 
 // TestGroupDownWithoutStandby pins the honest-failure mode: a group

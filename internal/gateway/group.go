@@ -60,15 +60,35 @@ func dialBackend(gw *Gateway, addr, role string) (*backend, error) {
 	return b, nil
 }
 
-// gwReq is one submission (single job or a group's slice of a batch)
-// waiting in a group intake. The sequencer fills out and closes done.
+// gwReq is one group's share of a submission — one job or many —
+// waiting in a group intake. The sequencer fills out and signals done
+// (1-buffered, so it never blocks). Requests are pooled with inline room
+// for one job, so a one-job submission allocates no request of its own.
 type gwReq struct {
-	jobs []job.Job
-	out  []serve.BatchResult
-	idxs []int // original batch positions (batch scatter/gather only)
-	sp   *obs.Span
-	enq  int64 // span-clock mark at enqueue
-	done chan struct{}
+	group int // the group whose intake the request rides
+	jobs  []job.Job
+	out   []serve.BatchResult
+	done  chan struct{}
+
+	oneJob [1]job.Job
+	oneOut [1]serve.BatchResult
+
+	// Submitter-side bookkeeping: the next request of the same batch (in
+	// group order), the gather cursor into out, and — on the head of a
+	// batch that split across groups — each job's group and each group's
+	// request.
+	link    *gwReq
+	next    int
+	groupOf []int32
+	byGroup []*gwReq
+
+	// Tracing: the span-clock mark at enqueue and the stages the
+	// sequencer measured, which the submitter folds into the caller's
+	// span; a request never points at the caller's span, so sequencers
+	// of different groups never share one.
+	traced        bool
+	enq           int64
+	queue, decide int64
 }
 
 // mirrorRec is one decided batch bound for the standby: the jobs that
@@ -202,7 +222,7 @@ func (g *group) stopMirror() {
 
 // run is the group sequencer: the single goroutine that talks to the
 // primary. It coalesces queued requests into one SubmitBatch (up to
-// batchLimit jobs), keeps exactly one call in flight, and handles
+// netserve.MaxBatchJobs jobs), keeps exactly one call in flight, and handles
 // failover and drain requests between batches — never mid-batch, so a
 // promotion always happens on a batch boundary.
 func (g *group) run() {
@@ -224,7 +244,7 @@ func (g *group) run() {
 		}
 		total := len(batch[0].jobs)
 	coalesce:
-		for total < g.gw.cfg.batchLimit {
+		for total < netserve.MaxBatchJobs {
 			select {
 			case r, ok := <-g.intake:
 				if !ok {
@@ -379,16 +399,15 @@ func (g *group) failAll(reqs []*gwReq, err error) {
 	g.finish(reqs, 0)
 }
 
-// finish stamps spans and releases the callers.
+// finish stamps the traced requests' stages and releases the callers.
 func (g *group) finish(reqs []*gwReq, callDur int64) {
-	rec := g.gw.cfg.spans
+	now := g.gw.cfg.spans.Now()
 	for _, r := range reqs {
-		if r.sp != nil && rec != nil {
-			r.sp.Shard = int32(g.id)
-			r.sp.Stages[obs.StageQueue] += rec.Now() - r.enq - callDur
-			r.sp.Stages[obs.StageDecide] += callDur
+		if r.traced {
+			r.queue = now - r.enq - callDur
+			r.decide = callDur
 		}
-		close(r.done)
+		r.done <- struct{}{}
 	}
 }
 

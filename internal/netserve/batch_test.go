@@ -371,9 +371,10 @@ func TestNetBatchKillAndRestore(t *testing.T) {
 }
 
 // TestNetBatchShedRawFrames proves batch shedding is all-or-nothing and
-// deterministic: with the single dispatch slot held at the gate, a raw
-// batch frame must come back as ONE verdict-batch with every entry shed
-// — and the shed counter advances per job, not per frame.
+// deterministic: with the single dispatch slot held at the gate by a
+// one-job frame, a raw five-job frame must come back as ONE verdict-batch
+// with every entry shed — and the shed counter advances per job, not
+// per frame.
 func TestNetBatchShedRawFrames(t *testing.T) {
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
@@ -404,9 +405,9 @@ func TestNetBatchShedRawFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One single takes the only dispatch slot and parks at the gate;
-	// the batch behind it must be refused whole.
-	buf := appendSubmit(nil, submitFrame{ID: 1, Job: testJob(1)})
+	// A one-job frame takes the only dispatch slot and parks at the
+	// gate; the batch behind it must be refused whole.
+	buf := appendSubmitBatch(nil, submitBatchFrame{ID: 1, Jobs: []job.Job{testJob(1)}})
 	batch := submitBatchFrame{ID: 2, Jobs: []job.Job{testJob(2), testJob(3), testJob(4), testJob(5), testJob(6)}}
 	buf = appendSubmitBatch(buf, batch)
 	if _, err := nc.Write(buf); err != nil {
@@ -434,8 +435,8 @@ func TestNetBatchShedRawFrames(t *testing.T) {
 	}
 
 	close(gate)
-	v := readVerdict(t, br)
-	if v.ID != 1 || v.Status == statusShed {
-		t.Fatalf("gated single got %+v, want a real verdict for id 1", v)
+	id, v := readVerdict(t, br)
+	if id != 1 || v.Status == statusShed {
+		t.Fatalf("gated one-job frame %d got %+v, want a real verdict for id 1", id, v)
 	}
 }

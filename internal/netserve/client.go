@@ -130,8 +130,9 @@ func WithClientSpans(rec *obs.SpanRecorder) DialOption {
 // connection by request id, so many goroutines can have submissions in
 // flight at once (that is where the throughput comes from — one
 // round-trip per request, but many overlapping rounds). For raw
-// throughput, SubmitBatch moves many jobs per round trip instead:
-// singles and batches pipeline freely on the same connections.
+// throughput, SubmitBatch moves many jobs per round trip instead. Every
+// call sends SUBMIT-BATCH frames — Submit's holds one job — so one-job
+// and many-job requests pipeline freely on the same connections.
 type Client struct {
 	cfg   dialConfig
 	slots []*connSlot
@@ -305,7 +306,8 @@ func (c *Client) Submit(j job.Job) (online.Decision, error) {
 	return c.SubmitTimeout(j, c.cfg.timeout)
 }
 
-// SubmitTimeout sends the job with a per-call verdict deadline.
+// SubmitTimeout sends the job — a SUBMIT-BATCH frame of one — with a
+// per-call verdict deadline.
 //
 //	accepted   → (Decision{Accepted: true, Machine, Start}, nil)
 //	rejected   → (Decision{Accepted: false}, nil)     // algorithmic, final
@@ -314,70 +316,11 @@ func (c *Client) Submit(j job.Job) (online.Decision, error) {
 //	server err → *RemoteError
 //	conn err   → *TransportError
 func (c *Client) SubmitTimeout(j job.Job, timeout time.Duration) (online.Decision, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return online.Decision{}, ErrClientClosed
-	}
-	c.mu.Unlock()
-
-	cc, pickErr := c.pick()
-	if cc == nil {
-		return online.Decision{}, pickErr
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-
-	// Respect the server's window so a conforming client is never shed
-	// for exceeding it: acquire a slot or time out waiting for one.
-	select {
-	case cc.sem <- struct{}{}:
-	case <-timer.C:
-		return online.Decision{}, ErrTimeout
-	case <-cc.dead:
-		return online.Decision{}, cc.transportErr()
-	}
-	defer func() { <-cc.sem }()
-
-	sendNs := c.cfg.spans.Now()
-	id, ch := cc.register()
-	// Pooled encode scratch: send flushes through the buffered writer
-	// before returning, so the buffer is reusable the moment it does.
-	fb := getFrameBuf()
-	fb.b = appendSubmit(fb.b, submitFrame{ID: id, Job: j})
-	err := cc.send(fb.b)
-	fb.release()
-	if err != nil {
-		cc.unregister(id)
+	var out [1]BatchResult
+	if err := c.submit([]job.Job{j}, out[:], timeout); err != nil {
 		return online.Decision{}, err
 	}
-	select {
-	case v := <-ch:
-		c.cfg.spans.Observe(obs.StageClient, c.cfg.spans.Now()-sendNs)
-		return mapVerdict(j, v)
-	case <-timer.C:
-		// Losing the select race must not fabricate a timeout: when the
-		// verdict and the timer are both ready, Go's select may pick the
-		// timer even though the verdict was delivered. Unregister first —
-		// if the id was already claimed, the read loop's send into the
-		// 1-buffered channel is committed (nothing can intercept it), so
-		// collect the real verdict instead of reporting "outcome unknown".
-		if !cc.unregister(id) {
-			v := <-ch
-			c.cfg.spans.Observe(obs.StageClient, c.cfg.spans.Now()-sendNs)
-			return mapVerdict(j, v)
-		}
-		return online.Decision{}, ErrTimeout
-	case <-cc.dead:
-		// Same recheck on connection death: a verdict that was routed
-		// before the connection died is an answer the caller should get.
-		if !cc.unregister(id) {
-			v := <-ch
-			c.cfg.spans.Observe(obs.StageClient, c.cfg.spans.Now()-sendNs)
-			return mapVerdict(j, v)
-		}
-		return online.Decision{}, cc.transportErr()
-	}
+	return out[0].Dec, out[0].Err
 }
 
 // BatchResult is one job's outcome from SubmitBatch, under the same
@@ -410,100 +353,120 @@ func (c *Client) SubmitBatch(jobs []job.Job) ([]BatchResult, error) {
 // returned; per-job outcomes — including ErrShed for a shed batch —
 // come back in the BatchResults.
 func (c *Client) SubmitBatchTimeout(jobs []job.Job, timeout time.Duration) ([]BatchResult, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	c.mu.Unlock()
 	if len(jobs) == 0 {
-		return nil, nil
+		return nil, c.submit(nil, nil, timeout)
 	}
-	cc, pickErr := c.pick()
-	if cc == nil {
-		return nil, pickErr
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	out := make([]BatchResult, 0, len(jobs))
-	for off := 0; off < len(jobs); off += MaxBatchJobs {
-		chunk := jobs[off:min(off+MaxBatchJobs, len(jobs))]
-		res, err := c.submitChunk(cc, chunk, timer)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res...)
+	out := make([]BatchResult, len(jobs))
+	if err := c.submit(jobs, out, timeout); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// submit is the one submission path under Submit, SubmitTimeout,
+// SubmitBatch and SubmitBatchTimeout: a job is a batch of one. It sends
+// jobs as SUBMIT-BATCH frames of at most MaxBatchJobs, in order on one
+// pooled connection, and writes job i's result into out[i]. Neither
+// slice is retained, so a caller's one-element arrays stay on its stack.
+func (c *Client) submit(jobs []job.Job, out []BatchResult, timeout time.Duration) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClientClosed
+	}
+	c.mu.Unlock()
+	if len(jobs) == 0 {
+		return nil
+	}
+	cc, pickErr := c.pick()
+	if cc == nil {
+		return pickErr
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for off := 0; off < len(jobs); off += MaxBatchJobs {
+		end := min(off+MaxBatchJobs, len(jobs))
+		if err := c.submitChunk(cc, jobs[off:end], out[off:end], timer); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // submitChunk sends one submit-batch frame and awaits its verdict
-// batch. Like the server, the client counts a batch frame as ONE
-// window slot.
-func (c *Client) submitChunk(cc *clientConn, chunk []job.Job, timer *time.Timer) ([]BatchResult, error) {
+// batch. Like the server, the client counts a frame as ONE window slot,
+// so a conforming client is never shed for exceeding the window.
+func (c *Client) submitChunk(cc *clientConn, chunk []job.Job, out []BatchResult, timer *time.Timer) error {
 	select {
 	case cc.sem <- struct{}{}:
 	case <-timer.C:
-		return nil, ErrTimeout
+		return ErrTimeout
 	case <-cc.dead:
-		return nil, cc.transportErr()
+		return cc.transportErr()
 	}
 	defer func() { <-cc.sem }()
 
 	sendNs := c.cfg.spans.Now()
-	id, ch := cc.registerBatch()
+	id, ch := cc.register()
+	// Pooled encode scratch: send flushes through the buffered writer
+	// before returning, so the buffer is reusable the moment it does.
 	fb := getFrameBuf()
 	fb.b = appendSubmitBatch(fb.b, submitBatchFrame{ID: id, Jobs: chunk})
 	err := cc.send(fb.b)
 	fb.release()
 	if err != nil {
-		cc.unregisterBatch(id)
-		return nil, err
+		cc.unregister(id, ch)
+		return err
 	}
 	var vb verdictBatchFrame
 	select {
 	case vb = <-ch:
 	case <-timer.C:
-		// Same delivered-verdict recheck as SubmitTimeout.
-		if cc.unregisterBatch(id) {
-			return nil, ErrTimeout
+		// Losing the select race must not fabricate a timeout: when the
+		// verdict and the timer are both ready, Go's select may pick the
+		// timer even though the verdict was delivered. Unregister first —
+		// if the id was already claimed, the read loop's send into the
+		// 1-buffered channel is committed (nothing can intercept it), so
+		// collect the real verdict instead of reporting "outcome unknown".
+		if cc.unregister(id, ch) {
+			return ErrTimeout
 		}
 		vb = <-ch
 	case <-cc.dead:
-		if cc.unregisterBatch(id) {
-			return nil, cc.transportErr()
+		// Same recheck on connection death: a verdict that was routed
+		// before the connection died is an answer the caller should get.
+		if cc.unregister(id, ch) {
+			return cc.transportErr()
 		}
 		vb = <-ch
 	}
+	replyChans.Put(ch) // drained: the claimed verdict was received
 	c.cfg.spans.Observe(obs.StageClient, c.cfg.spans.Now()-sendNs)
-	if len(vb.Verdicts) != len(chunk) {
-		putVerdicts(vb.Verdicts)
-		return nil, &TransportError{Op: "verdict-batch", Err: fmt.Errorf("%d verdicts for %d jobs", len(vb.Verdicts), len(chunk))}
-	}
-	out := make([]BatchResult, len(chunk))
-	for i, v := range vb.Verdicts {
-		dec, err := mapVerdict(chunk[i], verdictFrame{Status: v.Status, Machine: v.Machine, Start: v.Start, Msg: v.Msg})
-		out[i] = BatchResult{Dec: dec, Err: err}
-	}
 	// The verdict slice came from the read loop's pool; everything the
-	// caller needs is copied into out, so it goes back now.
-	putVerdicts(vb.Verdicts)
-	return out, nil
+	// caller needs is copied into out, so it goes back on every path.
+	defer putVerdicts(vb.Verdicts)
+	if len(vb.Verdicts) != len(chunk) {
+		return &TransportError{Op: "verdict-batch", Err: fmt.Errorf("%d verdicts for %d jobs", len(vb.Verdicts), len(chunk))}
+	}
+	for i, v := range vb.Verdicts {
+		out[i] = mapVerdict(chunk[i], v)
+	}
+	return nil
 }
 
 // mapVerdict translates a wire verdict into the client contract.
-func mapVerdict(j job.Job, v verdictFrame) (online.Decision, error) {
+func mapVerdict(j job.Job, v batchVerdict) BatchResult {
 	switch v.Status {
 	case statusAccept:
-		return online.Decision{JobID: j.ID, Accepted: true, Machine: int(v.Machine), Start: v.Start}, nil
+		return BatchResult{Dec: online.Decision{JobID: j.ID, Accepted: true, Machine: int(v.Machine), Start: v.Start}}
 	case statusReject:
-		return online.Decision{JobID: j.ID}, nil
+		return BatchResult{Dec: online.Decision{JobID: j.ID}}
 	case statusShed:
-		return online.Decision{}, ErrShed
+		return BatchResult{Err: ErrShed}
 	case statusError:
-		return online.Decision{}, &RemoteError{Msg: v.Msg}
+		return BatchResult{Err: &RemoteError{Msg: v.Msg}}
 	default:
-		return online.Decision{}, &TransportError{Op: "verdict", Err: fmt.Errorf("unknown status %d", v.Status)}
+		return BatchResult{Err: &TransportError{Op: "verdict", Err: fmt.Errorf("unknown status %d", v.Status)}}
 	}
 }
 
@@ -573,11 +536,10 @@ type clientConn struct {
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
-	pmu          sync.Mutex
-	pending      map[uint64]chan verdictFrame
-	batchPending map[uint64]chan verdictBatchFrame
-	nextID       uint64
-	err          error // sticky transport error
+	pmu     sync.Mutex
+	pending map[uint64]chan verdictBatchFrame
+	nextID  uint64
+	err     error // sticky transport error
 
 	dead     chan struct{}
 	deadOnce sync.Once
@@ -618,20 +580,25 @@ func setupConn(nc net.Conn, cfg dialConfig) (*clientConn, helloAck, error) {
 		window = 1
 	}
 	cc := &clientConn{
-		nc:           nc,
-		sem:          make(chan struct{}, window),
-		bw:           bufio.NewWriterSize(nc, 32<<10),
-		pending:      make(map[uint64]chan verdictFrame),
-		batchPending: make(map[uint64]chan verdictBatchFrame),
-		dead:         make(chan struct{}),
+		nc:      nc,
+		sem:     make(chan struct{}, window),
+		bw:      bufio.NewWriterSize(nc, 32<<10),
+		pending: make(map[uint64]chan verdictBatchFrame),
+		dead:    make(chan struct{}),
 	}
 	go cc.readLoop(br)
 	return cc, ack, nil
 }
 
+// replyChans pools the 1-buffered reply channels. A channel goes back
+// only once it is known empty: its verdict was received, or its id was
+// unregistered before the read loop claimed it, so nothing will ever
+// send on it again.
+var replyChans = sync.Pool{New: func() any { return make(chan verdictBatchFrame, 1) }}
+
 // register allocates a request id and its 1-buffered reply channel.
-func (cc *clientConn) register() (uint64, chan verdictFrame) {
-	ch := make(chan verdictFrame, 1)
+func (cc *clientConn) register() (uint64, chan verdictBatchFrame) {
+	ch := replyChans.Get().(chan verdictBatchFrame)
 	cc.pmu.Lock()
 	cc.nextID++
 	id := cc.nextID
@@ -640,38 +607,19 @@ func (cc *clientConn) register() (uint64, chan verdictFrame) {
 	return id, ch
 }
 
-// unregister removes the id and reports whether it was still pending. A
-// false return means the read loop already claimed the id, and its send
-// into the 1-buffered reply channel is committed — the caller can (and
-// should) still collect the verdict.
-func (cc *clientConn) unregister(id uint64) bool {
+// unregister removes the id and reports whether it was still pending;
+// if so, nothing can send on ch any more and it goes back to the pool.
+// A false return means the read loop already claimed the id, and its
+// send into the 1-buffered reply channel is committed — the caller can
+// (and should) still collect the verdict.
+func (cc *clientConn) unregister(id uint64, ch chan verdictBatchFrame) bool {
 	cc.pmu.Lock()
 	_, ok := cc.pending[id]
 	delete(cc.pending, id)
 	cc.pmu.Unlock()
-	return ok
-}
-
-// registerBatch allocates a batch id and its 1-buffered reply channel.
-// Batch ids come from the same counter as request ids, so singles and
-// batches pipeline on one connection without colliding.
-func (cc *clientConn) registerBatch() (uint64, chan verdictBatchFrame) {
-	ch := make(chan verdictBatchFrame, 1)
-	cc.pmu.Lock()
-	cc.nextID++
-	id := cc.nextID
-	cc.batchPending[id] = ch
-	cc.pmu.Unlock()
-	return id, ch
-}
-
-// unregisterBatch is unregister for batch ids, with the same claimed
-// contract.
-func (cc *clientConn) unregisterBatch(id uint64) bool {
-	cc.pmu.Lock()
-	_, ok := cc.batchPending[id]
-	delete(cc.batchPending, id)
-	cc.pmu.Unlock()
+	if ok {
+		replyChans.Put(ch)
+	}
 	return ok
 }
 
@@ -696,43 +644,25 @@ func (cc *clientConn) readLoop(br *bufio.Reader) {
 			cc.fail("read", err)
 			return
 		}
-		switch payload[0] {
-		case frameVerdict:
-			v, err := decodeVerdict(payload)
-			if err != nil {
-				cc.fail("read", err)
-				return
-			}
-			cc.pmu.Lock()
-			ch, ok := cc.pending[v.ID]
-			delete(cc.pending, v.ID)
-			cc.pmu.Unlock()
-			if ok {
-				ch <- v // 1-buffered: never blocks, late receivers already unregistered
-			}
-		case frameVerdictBatch:
-			// Decode into a pooled verdict slice. Ownership transfers
-			// with the frame: the waiter that receives vb releases the
-			// slice after mapping it; with no waiter left (timed out and
-			// unregistered), it goes back here.
-			vb, err := decodeVerdictBatchInto(payload, getVerdicts())
-			if err != nil {
-				putVerdicts(vb.Verdicts)
-				cc.fail("read", err)
-				return
-			}
-			cc.pmu.Lock()
-			ch, ok := cc.batchPending[vb.ID]
-			delete(cc.batchPending, vb.ID)
-			cc.pmu.Unlock()
-			if ok {
-				ch <- vb // 1-buffered, same contract as singles
-			} else {
-				putVerdicts(vb.Verdicts)
-			}
-		default:
-			cc.fail("read", fmt.Errorf("unexpected frame type %d", payload[0]))
+		// Decode into a pooled verdict slice. Ownership transfers with
+		// the frame: the waiter that receives vb releases the slice after
+		// mapping it; with no waiter left (timed out and unregistered), it
+		// goes back here. Anything but a verdict batch is a protocol error.
+		vs := getVerdicts()
+		vb, err := decodeVerdictBatchInto(payload, vs)
+		if err != nil {
+			putVerdicts(vs[:MaxBatchJobs]) // a failed decode may have written any prefix
+			cc.fail("read", err)
 			return
+		}
+		cc.pmu.Lock()
+		ch, ok := cc.pending[vb.ID]
+		delete(cc.pending, vb.ID)
+		cc.pmu.Unlock()
+		if ok {
+			ch <- vb // 1-buffered: never blocks, late receivers already unregistered
+		} else {
+			putVerdicts(vb.Verdicts)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // echoServer is a minimal fake server end: handshake, then accept every
-// submit at machine 0, start 0. It stops on the first read error (the
-// test killing the connection).
+// submitted job at machine 0, start 0. It stops on the first read error
+// (the test killing the connection).
 func echoServer(t *testing.T, nc net.Conn, window int) {
 	t.Helper()
 	br := fakeHandshake(t, nc, window)
@@ -24,12 +24,16 @@ func echoServer(t *testing.T, nc net.Conn, window int) {
 		if err != nil {
 			return
 		}
-		f, err := decodeSubmit(p)
+		f, err := decodeSubmitBatch(p)
 		if err != nil {
 			t.Errorf("fake server: %v", err)
 			return
 		}
-		if _, err := nc.Write(appendVerdict(nil, verdictFrame{ID: f.ID, Status: statusAccept})); err != nil {
+		vb := verdictBatchFrame{ID: f.ID, Verdicts: make([]batchVerdict, len(f.Jobs))}
+		for i := range vb.Verdicts {
+			vb.Verdicts[i].Status = statusAccept
+		}
+		if _, err := nc.Write(appendVerdictBatch(nil, vb)); err != nil {
 			return
 		}
 	}

@@ -60,7 +60,7 @@ func pipeClient(t *testing.T, window int) (*Client, *clientConn, net.Conn, *bufi
 // pending entry under pmu, exactly as routing a verdict does, and return
 // its reply channel. After this, the entry is "claimed" — the send into
 // the 1-buffered channel is committed from the caller's point of view.
-func claimPending(t *testing.T, cc *clientConn) chan verdictFrame {
+func claimPending(t *testing.T, cc *clientConn) chan verdictBatchFrame {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -78,31 +78,14 @@ func claimPending(t *testing.T, cc *clientConn) chan verdictFrame {
 	}
 }
 
-func claimBatchPending(t *testing.T, cc *clientConn) chan verdictBatchFrame {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cc.pmu.Lock()
-		for id, ch := range cc.batchPending {
-			delete(cc.batchPending, id)
-			cc.pmu.Unlock()
-			return ch
-		}
-		cc.pmu.Unlock()
-		if time.Now().After(deadline) {
-			t.Fatal("batch never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestSubmitTimeoutVerdictRace is the regression test for the
 // timeout/verdict select race: once the read loop has claimed the
 // pending id, the verdict's delivery is committed, and SubmitTimeout
 // must return that verdict even when the timer has already fired —
 // never a fabricated "outcome unknown". The test claims the id exactly
-// as the read loop does, lets the timer fire, then delivers the verdict:
-// before the fix this deterministically returned ErrTimeout.
+// as the read loop does, lets the timer fire, then delivers the
+// one-entry verdict batch: before the fix this deterministically
+// returned ErrTimeout.
 func TestSubmitTimeoutVerdictRace(t *testing.T) {
 	c, cc, _, br := pipeClient(t, 8)
 	defer c.Close()
@@ -125,7 +108,7 @@ func TestSubmitTimeoutVerdictRace(t *testing.T) {
 
 	ch := claimPending(t, cc)
 	time.Sleep(200 * time.Millisecond) // the 50ms timer has long fired
-	ch <- verdictFrame{Status: statusAccept, Machine: 3, Start: 2.5}
+	ch <- verdictBatchFrame{Verdicts: []batchVerdict{{Status: statusAccept, Machine: 3, Start: 2.5}}}
 
 	r := <-resCh
 	if r.err != nil {
@@ -159,7 +142,7 @@ func TestSubmitBatchTimeoutVerdictRace(t *testing.T) {
 		resCh <- result{res, err}
 	}()
 
-	ch := claimBatchPending(t, cc)
+	ch := claimPending(t, cc)
 	time.Sleep(200 * time.Millisecond)
 	ch <- verdictBatchFrame{Verdicts: []batchVerdict{
 		{Status: statusAccept, Machine: 1, Start: 0.5},

@@ -20,9 +20,11 @@ import (
 // serve.Service is the canonical implementation; the gateway implements
 // it one level up (its "shards" are backend groups), which is how the
 // whole protocol surface — windows, shedding, batching, spans — is
-// reused verbatim in front of a cluster. A returned
-// serve.ErrBackpressure is answered as a SHED verdict (retryable
-// overload); any other error as a server-error verdict.
+// reused verbatim in front of a cluster. The server dispatches every
+// frame, one job or many, through SubmitBatchSpan; SubmitSpan is the
+// one-job form for in-process callers. A returned serve.ErrBackpressure
+// is answered as a SHED verdict (retryable overload); any other error
+// as a server-error verdict.
 type Admitter interface {
 	Shards() int
 	Machines() int
@@ -88,17 +90,20 @@ func WithWriteTimeout(d time.Duration) ServerOption {
 //	netserve_shed_total             counter   shed verdicts (either cause)
 //	netserve_slow_disconnects_total counter   write-timeout disconnects
 //	netserve_request_seconds        histogram dispatch→verdict latency (one sample per frame, batch included)
-//	netserve_rx_frames_total        counter   submit + submit-batch frames read
+//	netserve_rx_frames_total        counter   submit frames read (one job or many)
 //
 // A nil registry (the default) keeps the hot path metric-free.
 func WithServerMetrics(reg *obs.Registry) ServerOption { return func(c *serverConfig) { c.reg = reg } }
 
-// WithServerSpans attaches a span recorder: every dispatched request
-// gets a lifecycle span covering frame decode, shard queue wait, engine
+// WithServerSpans attaches a span recorder: every dispatched frame gets
+// a lifecycle span covering frame decode, shard queue wait, engine
 // decide, WAL commit (via the service, which must share the recorder
 // through serve.WithSpans), and the reply write, finished when its
-// verdict hits the wire. Shed frames are answered before dispatch and
-// carry no span. A nil recorder (the default) keeps the path span-free.
+// verdict hits the wire. The span's verdict is the frame's outcome from
+// its per-job results (serve.SpanVerdict): a one-job frame gets its
+// job's accept, reject, shed or error, whatever the Admitter. Shed
+// frames are answered before dispatch and carry no span. A nil recorder
+// (the default) keeps the path span-free.
 func WithServerSpans(rec *obs.SpanRecorder) ServerOption {
 	return func(c *serverConfig) { c.spans = rec }
 }
@@ -397,70 +402,47 @@ func (c *srvConn) handshake(br *bufio.Reader) error {
 	return err
 }
 
-// readLoop decodes pipelined submits and dispatches each to its own
-// worker. Admission control happens here, sequentially per connection,
-// which makes shedding deterministic: a request is dispatched iff a
-// connection-window slot and a server-wide in-flight slot are both free
-// at the moment its frame is read.
+// readLoop decodes pipelined submit frames and dispatches each to its
+// own worker. Admission control happens here, sequentially per
+// connection, which makes shedding deterministic: a frame is dispatched
+// iff a connection-window slot and a server-wide in-flight slot are both
+// free at the moment it is read. After the handshake, anything but a
+// SUBMIT-BATCH — the retired one-job types 3 and 4 included — is a
+// protocol error that ends the connection.
 func (c *srvConn) readLoop(br *bufio.Reader) {
-	s := c.s
-	rec := s.cfg.spans
+	rec := c.s.cfg.spans
 	for {
 		payload, err := readFrame(br)
 		if err != nil {
 			return // EOF, deadline from Close, or protocol garbage
 		}
 		readNs := rec.Now() // span clock mark; 0 when tracing is off
-		switch payload[0] {
-		case frameSubmit:
-			f, err := decodeSubmit(payload)
-			if err != nil {
-				return
-			}
-			c.m.rx.Inc()
-			if !c.admit() {
-				c.shed(f.ID)
-				continue
-			}
-			// The span is allocated only for dispatched requests and only
-			// under tracing; its decode stage covers frame parse + admission.
-			var sp *obs.Span
-			if rec != nil {
-				sp = &obs.Span{JobID: int64(f.Job.ID), Start: readNs}
-				sp.Stages[obs.StageDecode] = rec.Now() - readNs
-			}
-			go c.serveRequest(f, sp)
-		case frameSubmitBatch:
-			// A batch frame is ONE dispatch unit: one window slot, one
-			// in-flight slot, one worker — that is where the amortization
-			// comes from. Shedding is all-or-nothing per batch, so a
-			// conforming client never sees a partially shed batch.
-			f, err := decodeSubmitBatch(payload)
-			if err != nil {
-				return
-			}
-			c.m.rx.Inc()
-			if !c.admit() {
-				c.shedBatch(f.ID, len(f.Jobs))
-				continue
-			}
-			var sp *obs.Span
-			if rec != nil {
-				sp = &obs.Span{JobID: int64(f.Jobs[0].ID), Start: readNs}
-				sp.Stages[obs.StageDecode] = rec.Now() - readNs
-			}
-			go c.serveBatch(f, sp)
-		default:
-			return // handshake is over; anything but a submit is a protocol error
+		f, err := decodeSubmitBatch(payload)
+		if err != nil {
+			return
 		}
+		c.m.rx.Inc()
+		if !c.admit() {
+			c.shed(f.ID, len(f.Jobs))
+			continue
+		}
+		// The span is allocated only for dispatched frames and only under
+		// tracing; its decode stage covers frame parse + admission.
+		var sp *obs.Span
+		if rec != nil {
+			sp = &obs.Span{JobID: int64(f.Jobs[0].ID), Start: readNs}
+			sp.Stages[obs.StageDecode] = rec.Now() - readNs
+		}
+		go c.serve(f, sp)
 	}
 }
 
 // admit takes one connection-window slot and one server-wide in-flight
-// slot — a batch frame counts as one dispatch unit on both, because it
-// occupies one worker goroutine and one reply — or reports that the
-// frame must be shed. Admission stays sequential per connection (only
-// the reader calls it), which keeps shedding deterministic.
+// slot — a frame is one dispatch unit on both, however many jobs it
+// carries, because it occupies one worker goroutine and one reply — or
+// reports that the frame must be shed. Admission stays sequential per
+// connection (only the reader calls it), which keeps shedding
+// deterministic.
 func (c *srvConn) admit() bool {
 	s := c.s
 	if c.inflight.Load() >= int64(s.cfg.window) {
@@ -477,39 +459,29 @@ func (c *srvConn) admit() bool {
 	return true
 }
 
-// shed answers a request the server refused to dispatch. The send
-// blocks if the writer is behind, which throttles a flooding client
-// instead of buffering unboundedly; the write timeout cuts the
-// connection if the client will not drain.
-func (c *srvConn) shed(id uint64) {
-	c.m.shedTot.Inc()
-	c.m.shed.Inc()
-	fb := getFrameBuf()
-	fb.b = appendVerdict(fb.b, verdictFrame{ID: id, Status: statusShed})
-	c.resp <- respEntry{fb: fb}
-}
-
-// shedBatch answers a whole batch the server refused to dispatch: one
-// verdict-batch frame with every entry shed. The shed counters advance
-// per job — a shed batch is n refused admissions, not one.
-func (c *srvConn) shedBatch(id uint64, n int) {
+// shed answers a frame the server refused to dispatch: one verdict
+// batch with every entry shed — all or nothing, so a conforming client
+// never sees a partially shed frame. The shed counters advance per job:
+// a shed frame is n refused admissions, not one. The send blocks if the
+// writer is behind, which throttles a flooding client instead of
+// buffering unboundedly; the write timeout cuts the connection if the
+// client will not drain.
+func (c *srvConn) shed(id uint64, n int) {
 	c.m.shedTot.Add(int64(n))
 	c.m.shed.Add(int64(n))
-	out := verdictBatchFrame{ID: id, Verdicts: make([]batchVerdict, n)}
-	for i := range out.Verdicts {
-		out.Verdicts[i].Status = statusShed
+	vs := getVerdicts()[:n]
+	for i := range vs {
+		vs[i].Status = statusShed
 	}
-	fb := getFrameBuf()
-	fb.b = appendVerdictBatch(fb.b, out)
-	c.resp <- respEntry{fb: fb}
+	c.reply(id, vs, nil)
 }
 
-// serveBatch runs one batched admission through the service and posts
-// the grouped verdict frame. The service decides the jobs one at a time
-// in batch order and — under durability — the whole batch shares one
-// group-commit fsync; the reply leaves only after every job has its
-// durable verdict, so a verdict batch on the wire is n kept promises.
-func (c *srvConn) serveBatch(f submitBatchFrame, sp *obs.Span) {
+// serve runs one frame's jobs through the service and posts the verdict
+// batch. The service decides the jobs one at a time in frame order and
+// — under durability — the whole frame shares one group-commit fsync;
+// the reply leaves only after every job has its durable verdict, so a
+// verdict batch on the wire is n kept promises.
+func (c *srvConn) serve(f submitBatchFrame, sp *obs.Span) {
 	defer c.workers.Done()
 	s := c.s
 	if s.cfg.submitGate != nil {
@@ -521,10 +493,21 @@ func (c *srvConn) serveBatch(f submitBatchFrame, sp *obs.Span) {
 	<-s.inflight
 	c.inflight.Add(-1)
 	c.m.inflight.Add(-1)
+	if sp != nil {
+		// Whatever the Admitter filled in, the span's verdict is the
+		// frame's outcome as the client will see it.
+		sp.Verdict = serve.SpanVerdict(results)
+	}
+	c.reply(f.ID, c.verdicts(results), sp)
+}
 
-	out := verdictBatchFrame{ID: f.ID, Verdicts: make([]batchVerdict, len(results))}
+// verdicts maps the Admitter's per-job results onto wire verdicts in a
+// pooled slice and counts them. It is kept out of serve so that the
+// frame beneath the Admitter call stays small.
+func (c *srvConn) verdicts(results []serve.BatchResult) []batchVerdict {
+	vs := getVerdicts()[:len(results)]
 	for i, r := range results {
-		v := &out.Verdicts[i]
+		v := &vs[i]
 		switch {
 		case errors.Is(r.Err, serve.ErrBackpressure):
 			// The shard queue itself is full: same overload story, same
@@ -546,58 +529,16 @@ func (c *srvConn) serveBatch(f submitBatchFrame, sp *obs.Span) {
 			c.m.reject.Inc()
 		}
 	}
-	fb := getFrameBuf()
-	fb.b = appendVerdictBatch(fb.b, out)
-	c.resp <- respEntry{fb: fb, sp: sp, ns: s.cfg.spans.Now()}
+	return vs
 }
 
-// serveRequest runs one admission through the service and posts the
-// verdict. Submit blocks until the shard decided — and, under
-// durability, until the decision is fsynced — so a verdict on the wire
-// is always a kept promise.
-func (c *srvConn) serveRequest(f submitFrame, sp *obs.Span) {
-	defer c.workers.Done()
-	s := c.s
-	if s.cfg.submitGate != nil {
-		s.cfg.submitGate()
-	}
-	start := time.Now()
-	dec, err := s.svc.SubmitSpan(f.Job, sp)
-	s.latHist.Observe(time.Since(start).Seconds())
-	<-s.inflight
-	c.inflight.Add(-1)
-	c.m.inflight.Add(-1)
-
-	v := verdictFrame{ID: f.ID}
-	switch {
-	case errors.Is(err, serve.ErrBackpressure):
-		// The shard queue itself is full: same overload story, same
-		// retryable verdict.
-		v.Status = statusShed
-		c.m.shedTot.Inc()
-		c.m.shed.Inc()
-		if sp != nil {
-			sp.Verdict = obs.VerdictShed
-		}
-	case err != nil:
-		v.Status = statusError
-		v.Msg = err.Error()
-		c.m.errs.Inc()
-		if sp != nil {
-			sp.Verdict = obs.VerdictError
-		}
-	case dec.Accepted:
-		v.Status = statusAccept
-		v.Machine = int64(dec.Machine)
-		v.Start = dec.Start
-		c.m.accept.Inc()
-	default:
-		v.Status = statusReject
-		c.m.reject.Inc()
-	}
+// reply encodes a verdict batch from the pooled verdict slice vs,
+// returns the slice to its pool, and hands the frame to the writer.
+func (c *srvConn) reply(id uint64, vs []batchVerdict, sp *obs.Span) {
 	fb := getFrameBuf()
-	fb.b = appendVerdict(fb.b, v)
-	c.resp <- respEntry{fb: fb, sp: sp, ns: s.cfg.spans.Now()}
+	fb.b = appendVerdictBatch(fb.b, verdictBatchFrame{ID: id, Verdicts: vs})
+	putVerdicts(vs)
+	c.resp <- respEntry{fb: fb, sp: sp, ns: c.s.cfg.spans.Now()}
 }
 
 // writeLoop batches verdicts onto the wire: it blocks for one frame,

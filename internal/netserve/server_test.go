@@ -132,8 +132,8 @@ func TestNetTimeoutDistinctFromReject(t *testing.T) {
 
 // TestNetWindowShedRawFrames drives the wire directly (the Client
 // self-limits, so only a raw peer can exceed its window): with window 2
-// and five back-to-back submits, the first two dispatch and the next
-// three are shed, deterministically.
+// and five back-to-back one-job frames, the first two dispatch and the
+// next three are shed, deterministically.
 func TestNetWindowShedRawFrames(t *testing.T) {
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
@@ -164,7 +164,7 @@ func TestNetWindowShedRawFrames(t *testing.T) {
 
 	var burst []byte
 	for i := 1; i <= 5; i++ {
-		burst = appendSubmit(burst, submitFrame{ID: uint64(i), Job: testJob(i)})
+		burst = appendSubmitBatch(burst, submitBatchFrame{ID: uint64(i), Jobs: []job.Job{testJob(i)}})
 	}
 	if _, err := nc.Write(burst); err != nil {
 		t.Fatal(err)
@@ -174,36 +174,81 @@ func TestNetWindowShedRawFrames(t *testing.T) {
 	// reader sheds synchronously in frame order while ids 1 and 2 hold
 	// the two window slots at the gate.
 	for want := uint64(3); want <= 5; want++ {
-		v := readVerdict(t, br)
-		if v.Status != statusShed || v.ID != want {
-			t.Fatalf("verdict %+v, want shed for id %d", v, want)
+		id, v := readVerdict(t, br)
+		if v.Status != statusShed || id != want {
+			t.Fatalf("verdict %+v for id %d, want shed for id %d", v, id, want)
 		}
 	}
 	close(gate)
 	seen := map[uint64]bool{}
 	for i := 0; i < 2; i++ {
-		v := readVerdict(t, br)
+		id, v := readVerdict(t, br)
 		if v.Status == statusShed {
-			t.Fatalf("windowed request %d was shed", v.ID)
+			t.Fatalf("windowed request %d was shed", id)
 		}
-		seen[v.ID] = true
+		seen[id] = true
 	}
 	if !seen[1] || !seen[2] {
 		t.Fatalf("dispatched ids %v, want 1 and 2", seen)
 	}
 }
 
-func readVerdict(t *testing.T, br *bufio.Reader) verdictFrame {
+// TestNetRetiredFrameClosesConn: a version 2 one-job SUBMIT (type 3)
+// sent after a v3 handshake is a protocol error like any unknown type —
+// the server drops the connection without answering it.
+func TestNetRetiredFrameClosesConn(t *testing.T) {
+	svc := newTestService(t, 1, 8)
+	defer svc.Close()
+	srv, err := Serve(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(appendHello(nil)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	payload, err := readFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeHelloAck(payload); err != nil {
+		t.Fatal(err)
+	}
+	old := make([]byte, 1+8+8+3*8) // v2 SUBMIT: type, request id, job id, r/p/d
+	old[0] = 3
+	if _, err := nc.Write(appendFrame(nil, old)); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if p, err := readFrame(br); err == nil {
+		t.Fatalf("server answered a retired type-3 frame with frame type %d", p[0])
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept the connection open after a retired frame type")
+	}
+}
+
+// readVerdict reads the verdict batch answering a one-job frame and
+// returns its request id and the job's verdict.
+func readVerdict(t *testing.T, br *bufio.Reader) (uint64, batchVerdict) {
 	t.Helper()
 	payload, err := readFrame(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := decodeVerdict(payload)
+	vb, err := decodeVerdictBatch(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	if len(vb.Verdicts) != 1 {
+		t.Fatalf("reply to a one-job frame carries %d verdicts", len(vb.Verdicts))
+	}
+	return vb.ID, vb.Verdicts[0]
 }
 
 // pipeListener turns net.Pipe into a listener: every "accepted"
@@ -279,7 +324,7 @@ func TestNetSlowClientDisconnected(t *testing.T) {
 	}
 
 	// Submit one job, then go silent: never read the verdict.
-	if _, err := nc.Write(appendSubmit(nil, submitFrame{ID: 1, Job: testJob(1)})); err != nil {
+	if _, err := nc.Write(appendSubmitBatch(nil, submitBatchFrame{ID: 1, Jobs: []job.Job{testJob(1)}})); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

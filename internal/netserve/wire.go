@@ -6,7 +6,7 @@
 // reject over the wire.
 //
 // The network verdict is the binding commitment point: the server only
-// writes a verdict after serve.Service.Submit has returned, which under
+// writes a verdict after the service has decided, which under
 // WithDurability means after the decision is fsynced to the shard's
 // write-ahead commitment log. A client that has read an accept therefore
 // holds a promise that survives a server crash.
@@ -22,21 +22,25 @@
 // payload[0] is the frame type. A connection opens with a version
 // handshake — the client sends HELLO (magic, protocol version), the
 // server answers HELLO-ACK (negotiated version, per-connection in-flight
-// window, service topology) — and then carries pipelined SUBMIT frames
-// upstream and VERDICT frames downstream, matched by request id, in
-// whatever order decisions complete.
+// window, service topology) — and then carries pipelined SUBMIT-BATCH
+// frames upstream and VERDICT-BATCH frames downstream, matched by
+// request id, in whatever order decisions complete.
 //
-// SUBMIT-BATCH packs up to MaxBatchJobs jobs behind a single header and
-// CRC; the server answers with one VERDICT-BATCH echoing the batch id,
-// verdict i deciding job i positionally. Batching amortizes framing,
-// shard handoff, fsync, and trace emission — but it is transport-only:
-// the jobs are still decided one at a time in batch order, so the
-// decision stream is bit-identical to the same jobs submitted
-// individually in that order (VerifyReplay holds with batching on).
+// Protocol version 3 has one submit frame and one verdict frame: a job
+// is a batch of one. SUBMIT-BATCH packs 1 to MaxBatchJobs jobs behind a
+// single header and CRC; the server answers with one VERDICT-BATCH
+// echoing the request id, verdict i deciding job i positionally.
+// Batching amortizes framing, shard handoff, fsync, and trace emission —
+// but it is transport-only: the jobs are still decided one at a time in
+// batch order, so the decision stream is bit-identical to the same jobs
+// sent one per frame in that order (VerifyReplay holds with batching
+// on). Version 2's one-job SUBMIT (type 3) and VERDICT (type 4) frames
+// are gone; they are protocol errors like any unknown type, and a v2
+// peer fails at HELLO.
 //
 // # Verdicts are not all equal
 //
-// A VERDICT carries one of four statuses, and the distinction matters:
+// A verdict carries one of four statuses, and the distinction matters:
 //
 //   - accept / reject are *algorithmic* answers from Algorithm 1 — both
 //     irrevocable, both durable under WithDurability (rejects advance
@@ -66,24 +70,24 @@ import (
 )
 
 // ProtocolVersion is the wire protocol version this package speaks. The
-// handshake fails closed on a mismatch: a v1 endpoint never guesses at
-// v2 frames. Version 2 added the admission-policy spec to the HELLO ack
+// handshake fails closed on a mismatch: a v2 endpoint never guesses at
+// v3 frames. Version 2 added the admission-policy spec to the HELLO ack
 // so `loadmaxd -policy` and its clients can never silently disagree
-// about which algorithm is deciding.
-const ProtocolVersion = 2
+// about which algorithm is deciding; version 3 dropped the one-job
+// SUBMIT and VERDICT frames, leaving one submit and one verdict frame.
+const ProtocolVersion = 3
 
 // protocolMagic opens every HELLO frame ("LMX1"): a TCP client that is
 // not speaking this protocol is rejected at the first frame.
 const protocolMagic = 0x4C4D5831
 
-// Frame types (payload[0]).
+// Frame types (payload[0]). Types 3 and 4 were version 2's one-job
+// frames and are retired.
 const (
 	frameHello        = 1 // client → server: magic, version
 	frameHelloAck     = 2 // server → client: version, window, topology
-	frameSubmit       = 3 // client → server: request id + job
-	frameVerdict      = 4 // server → client: request id + status (+ placement | message)
-	frameSubmitBatch  = 5 // client → server: batch id + N jobs (one header + CRC for all)
-	frameVerdictBatch = 6 // server → client: batch id + N verdicts, positional
+	frameSubmitBatch  = 5 // client → server: request id + N jobs (one header + CRC for all)
+	frameVerdictBatch = 6 // server → client: request id + N verdicts, positional
 )
 
 // Verdict statuses.
@@ -102,15 +106,13 @@ const (
 	// fields are followed by a length-prefixed policy spec string.
 	helloAckMin  = 1 + 2 + 4 + 4 + 4 + 8 + 2 // type, version, window, shards, machines, eps, policy len
 	maxPolicyLen = 1 << 8                    // policy specs are short by construction
-	submitLen    = 1 + 8 + 8 + 3*8           // type, req id, job id, r/p/d
-	verdictMin   = 1 + 8 + 1 + 8 + 8 + 2     // type, req id, status, machine, start, msg len
 	maxMsgLen    = 1 << 10                   // error messages are short by construction
 
 	// Batch frames: one length-prefix + one CRC covers the whole batch.
-	// Entries are positional — the verdict batch echoes the batch id and
-	// answers entry i of the submit batch with entry i, so per-job
-	// request ids are unnecessary on the wire.
-	batchHdrLen      = 1 + 8 + 4     // type, batch id, count
+	// Entries are positional — the verdict batch echoes the request id
+	// and answers entry i of the submit batch with entry i, so per-job
+	// ids are unnecessary on the wire.
+	batchHdrLen      = 1 + 8 + 4     // type, request id, count
 	batchSubEntryLen = 8 + 3*8       // job id, r/p/d
 	batchVerEntryLen = 1 + 8 + 8 + 2 // status, machine, start, msg len
 
@@ -137,23 +139,8 @@ type helloAck struct {
 	Policy   string // canonical admission-policy spec (policy.Parse syntax)
 }
 
-// submitFrame is one admission request in flight.
-type submitFrame struct {
-	ID  uint64
-	Job job.Job
-}
-
-// verdictFrame is one admission response.
-type verdictFrame struct {
-	ID      uint64
-	Status  byte
-	Machine int64
-	Start   float64
-	Msg     string // only for statusError
-}
-
 // appendFrame wraps payload in the length+CRC header and appends the
-// whole frame to dst. It suits small fixed-size frames whose payload
+// whole frame to dst. It suits the small fixed-size HELLO, whose payload
 // already lives in a stack array; variable-size encoders build their
 // payload directly in dst via beginFrame/sealFrame instead, so no
 // intermediate payload slice is ever allocated.
@@ -235,25 +222,33 @@ func getVerdicts() []batchVerdict {
 }
 
 // putVerdicts returns a verdict slice to the pool, clearing it first so
-// pooled entries don't pin Msg strings. Slices that did not come from
-// the pool (including nil — error paths release blindly) are dropped
-// for the GC.
+// pooled entries don't pin Msg strings and the next user finds zeroed
+// entries. Only s[:len(s)] is cleared — a one-job reply must not pay for
+// zeroing 1024 entries — so the caller hands the slice back at the
+// length it wrote; entries past it are still zero from their last
+// release. Slices that did not come from the pool (including nil) are
+// dropped for the GC.
 func putVerdicts(s []batchVerdict) {
 	if cap(s) != MaxBatchJobs {
 		return
 	}
-	clear(s[:cap(s)])
+	clear(s)
 	verdictSlices.Put((*[MaxBatchJobs]batchVerdict)(s[:MaxBatchJobs]))
 }
 
 // readFrame reads one frame and returns its verified payload. The
 // returned slice is freshly allocated and safe to retain.
 func readFrame(br *bufio.Reader) ([]byte, error) {
-	var h [wireHeaderLen]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
+	// The header is read in place from the reader's buffer: a stack array
+	// handed to io.ReadFull escapes through the io.Reader interface and
+	// would cost an allocation per frame.
+	h, err := br.Peek(wireHeaderLen)
+	if err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(h[0:])
+	sum := binary.LittleEndian.Uint32(h[4:])
+	br.Discard(wireHeaderLen) //nolint:errcheck // the bytes are buffered: Peek just returned them
 	if n == 0 || n > maxPayload {
 		return nil, fmt.Errorf("netserve: frame length %d out of range", n)
 	}
@@ -261,7 +256,7 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(payload, wireCRC) != binary.LittleEndian.Uint32(h[4:]) {
+	if crc32.Checksum(payload, wireCRC) != sum {
 		return nil, fmt.Errorf("netserve: frame checksum mismatch")
 	}
 	return payload, nil
@@ -329,66 +324,18 @@ func decodeHelloAck(p []byte) (helloAck, error) {
 	return a, nil
 }
 
-func appendSubmit(dst []byte, f submitFrame) []byte {
-	// Seal-frame style even though the payload is fixed-size: routing the
-	// stack array through appendFrame makes it escape into the checksum
-	// call, costing one alloc on the client's per-request send path.
-	dst, off := beginFrame(dst)
-	var p [submitLen]byte
-	p[0] = frameSubmit
-	binary.LittleEndian.PutUint64(p[1:], f.ID)
-	binary.LittleEndian.PutUint64(p[9:], uint64(int64(f.Job.ID)))
-	binary.LittleEndian.PutUint64(p[17:], math.Float64bits(f.Job.Release))
-	binary.LittleEndian.PutUint64(p[25:], math.Float64bits(f.Job.Proc))
-	binary.LittleEndian.PutUint64(p[33:], math.Float64bits(f.Job.Deadline))
-	dst = append(dst, p[:]...)
-	return sealFrame(dst, off)
-}
-
-func decodeSubmit(p []byte) (submitFrame, error) {
-	if len(p) != submitLen || p[0] != frameSubmit {
-		return submitFrame{}, fmt.Errorf("netserve: malformed submit frame")
-	}
-	var f submitFrame
-	f.ID = binary.LittleEndian.Uint64(p[1:])
-	f.Job.ID = int(int64(binary.LittleEndian.Uint64(p[9:])))
-	f.Job.Release = math.Float64frombits(binary.LittleEndian.Uint64(p[17:]))
-	f.Job.Proc = math.Float64frombits(binary.LittleEndian.Uint64(p[25:]))
-	f.Job.Deadline = math.Float64frombits(binary.LittleEndian.Uint64(p[33:]))
-	return f, nil
-}
-
-func appendVerdict(dst []byte, f verdictFrame) []byte {
-	msg := f.Msg
-	if len(msg) > maxMsgLen {
-		msg = msg[:maxMsgLen]
-	}
-	dst, off := beginFrame(dst)
-	var p [verdictMin]byte
-	p[0] = frameVerdict
-	binary.LittleEndian.PutUint64(p[1:], f.ID)
-	p[9] = f.Status
-	binary.LittleEndian.PutUint64(p[10:], uint64(f.Machine))
-	binary.LittleEndian.PutUint64(p[18:], math.Float64bits(f.Start))
-	binary.LittleEndian.PutUint16(p[26:], uint16(len(msg)))
-	dst = append(dst, p[:]...)
-	dst = append(dst, msg...)
-	return sealFrame(dst, off)
-}
-
-// submitBatchFrame is one batched admission request: N jobs sharing a
-// single frame header, CRC, and (server-side) shard handoff + fsync.
-// Batching is transport-only — the server still decides the jobs one at
-// a time in batch order, so the decision stream is bit-identical to N
-// per-job submits in the same order.
+// submitBatchFrame is one admission request: 1..MaxBatchJobs jobs
+// sharing a single frame header, CRC, and (server-side) shard handoff +
+// fsync. Batching is transport-only — the server still decides the jobs
+// one at a time in batch order, so the decision stream is bit-identical
+// to the same jobs sent one per frame in that order.
 type submitBatchFrame struct {
-	ID   uint64 // batch id, echoed by the verdict batch
+	ID   uint64 // request id, echoed by the verdict batch
 	Jobs []job.Job
 }
 
-// verdictBatchFrame answers a submit batch: Verdicts[i] decides Jobs[i].
-// The per-entry fields mirror verdictFrame minus the request id (the
-// match is positional under the batch id).
+// verdictBatchFrame answers a submit batch: Verdicts[i] decides Jobs[i]
+// (the match is positional under the request id).
 type verdictBatchFrame struct {
 	ID       uint64
 	Verdicts []batchVerdict
@@ -506,6 +453,11 @@ func decodeVerdictBatchInto(p []byte, scratch []batchVerdict) (verdictBatchFrame
 		}
 		m := int(binary.LittleEndian.Uint16(e[17:]))
 		off += batchVerEntryLen
+		if m > maxMsgLen {
+			// The encoder truncates at maxMsgLen; a longer message is not
+			// a frame this protocol writes.
+			return verdictBatchFrame{}, fmt.Errorf("netserve: verdict-batch entry %d message length %d over %d", i, m, maxMsgLen)
+		}
 		if len(p) < off+m {
 			return verdictBatchFrame{}, fmt.Errorf("netserve: verdict-batch entry %d message truncated", i)
 		}
@@ -518,26 +470,6 @@ func decodeVerdictBatchInto(p []byte, scratch []batchVerdict) (verdictBatchFrame
 	}
 	if off != len(p) {
 		return verdictBatchFrame{}, fmt.Errorf("netserve: verdict-batch length %d does not match entries", len(p))
-	}
-	return f, nil
-}
-
-func decodeVerdict(p []byte) (verdictFrame, error) {
-	if len(p) < verdictMin || p[0] != frameVerdict {
-		return verdictFrame{}, fmt.Errorf("netserve: malformed verdict frame")
-	}
-	var f verdictFrame
-	f.ID = binary.LittleEndian.Uint64(p[1:])
-	f.Status = p[9]
-	f.Machine = int64(binary.LittleEndian.Uint64(p[10:]))
-	f.Start = math.Float64frombits(binary.LittleEndian.Uint64(p[18:]))
-	n := int(binary.LittleEndian.Uint16(p[26:]))
-	if len(p) != verdictMin+n {
-		return verdictFrame{}, fmt.Errorf("netserve: verdict message length %d does not match frame", n)
-	}
-	f.Msg = string(p[verdictMin:])
-	if f.Status < statusAccept || f.Status > statusError {
-		return verdictFrame{}, fmt.Errorf("netserve: unknown verdict status %d", f.Status)
 	}
 	return f, nil
 }

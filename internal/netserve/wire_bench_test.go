@@ -7,31 +7,36 @@ import (
 )
 
 // TestPooledFrameEncodeZeroAllocs is the hot-path guard for the pooled
-// frame scratch: encoding a verdict, a submit, or a whole batch into a
-// pooled buffer must not allocate once the pool is warm. These paths
-// run once per request (server reply, client send), so a single alloc
-// here is a per-request alloc under load.
+// frame scratch: encoding a one-job verdict or submit, or a whole batch,
+// into a pooled buffer must not allocate once the pool is warm. These
+// paths run once per request (server reply, client send), so a single
+// alloc here is a per-request alloc under load.
 func TestPooledFrameEncodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops items under -race; alloc counts are not meaningful")
 	}
-	// Warm the pool so the measured runs only ever recycle.
+	// Warm the pools so the measured runs only ever recycle.
 	getFrameBuf().release()
+	putVerdicts(getVerdicts())
 
 	if n := testing.AllocsPerRun(1000, func() {
+		vs := getVerdicts()[:1]
+		vs[0] = batchVerdict{Status: statusAccept, Machine: 3, Start: 1.5}
 		fb := getFrameBuf()
-		fb.b = appendVerdict(fb.b, verdictFrame{ID: 7, Status: statusAccept, Machine: 3, Start: 1.5})
+		fb.b = appendVerdictBatch(fb.b, verdictBatchFrame{ID: 7, Verdicts: vs})
+		putVerdicts(vs)
 		fb.release()
 	}); n != 0 {
-		t.Fatalf("pooled verdict encode allocates %.1f allocs/op, want 0", n)
+		t.Fatalf("pooled one-job verdict encode allocates %.1f allocs/op, want 0", n)
 	}
 
 	if n := testing.AllocsPerRun(1000, func() {
+		one := [1]job.Job{{ID: 1, Release: 0, Proc: 2, Deadline: 10}}
 		fb := getFrameBuf()
-		fb.b = appendSubmit(fb.b, submitFrame{ID: 9, Job: job.Job{ID: 1, Release: 0, Proc: 2, Deadline: 10}})
+		fb.b = appendSubmitBatch(fb.b, submitBatchFrame{ID: 9, Jobs: one[:]})
 		fb.release()
 	}); n != 0 {
-		t.Fatalf("pooled submit encode allocates %.1f allocs/op, want 0", n)
+		t.Fatalf("pooled one-job submit encode allocates %.1f allocs/op, want 0", n)
 	}
 
 	jobs := make([]job.Job, 64)
@@ -117,14 +122,51 @@ func TestDecodeVerdictBatchIntoReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkVerdictEncodePooled measures the server's reply encode with
-// the pooled scratch (the production path).
+// TestSubmitRoundTripStaysLean guards the one-job wire round trip: a
+// warm Client.Submit over loopback to a non-durable serve.Service may
+// allocate at most 10 times per call, counting both ends — what the
+// retired one-job SUBMIT/VERDICT frames cost. A job is a batch of one,
+// and this keeps the batch of one as lean as the frame it replaced.
+func TestSubmitRoundTripStaysLean(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomly drops items under -race; alloc counts are not meaningful")
+	}
+	svc := newTestService(t, 4, 8)
+	defer svc.Close()
+	srv, err := Serve(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	j := job.Job{ID: 1, Proc: 0.001, Deadline: 1e12}
+	for i := 0; i < 200; i++ { // warm every pool on both ends
+		if _, err := cl.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, err := cl.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Fatalf("one-job round trip allocates %.2f times per call across both ends, want ≤ 10", allocs)
+	}
+}
+
+// BenchmarkVerdictEncodePooled measures the server's one-job reply
+// encode with the pooled scratch (the production path).
 func BenchmarkVerdictEncodePooled(b *testing.B) {
-	v := verdictFrame{ID: 42, Status: statusAccept, Machine: 7, Start: 123.456}
+	v := verdictBatchFrame{ID: 42, Verdicts: []batchVerdict{{Status: statusAccept, Machine: 7, Start: 123.456}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fb := getFrameBuf()
-		fb.b = appendVerdict(fb.b, v)
+		fb.b = appendVerdictBatch(fb.b, v)
 		fb.release()
 	}
 }
@@ -132,9 +174,9 @@ func BenchmarkVerdictEncodePooled(b *testing.B) {
 // BenchmarkVerdictEncodeFresh is the pre-pool baseline: a fresh
 // destination slice per frame.
 func BenchmarkVerdictEncodeFresh(b *testing.B) {
-	v := verdictFrame{ID: 42, Status: statusAccept, Machine: 7, Start: 123.456}
+	v := verdictBatchFrame{ID: 42, Verdicts: []batchVerdict{{Status: statusAccept, Machine: 7, Start: 123.456}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = appendVerdict(nil, v)
+		_ = appendVerdictBatch(nil, v)
 	}
 }

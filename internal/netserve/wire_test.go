@@ -3,77 +3,67 @@ package netserve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
 	"loadmax/internal/job"
 )
 
-// TestWireRoundTrip proves every frame type decodes back bit-identically
-// — including floats that have no short decimal form, the reason the
-// wire uses raw float64 bits like the WAL does.
+// TestWireRoundTrip proves every frame of a one-job exchange decodes
+// back bit-identically — handshake, a one-job SUBMIT-BATCH, and accept
+// and error verdicts — including floats that have no short decimal form,
+// the reason the wire uses raw float64 bits like the WAL does.
 func TestWireRoundTrip(t *testing.T) {
 	awkward := math.Nextafter(1.0/3.0, 1) // no exact decimal representation
 
+	ackIn := helloAck{Version: ProtocolVersion, Window: 128, Shards: 7, Machines: 64, Eps: awkward, Policy: "threshold"}
+	sub := submitBatchFrame{ID: 42, Jobs: []job.Job{{ID: 9, Release: awkward, Proc: math.Pi, Deadline: 4.75}}}
+	ver := verdictBatchFrame{ID: 42, Verdicts: []batchVerdict{{Status: statusAccept, Machine: 3, Start: awkward * 2}}}
+	errVer := verdictBatchFrame{ID: 43, Verdicts: []batchVerdict{{Status: statusError, Msg: "wal poisoned"}}}
+
 	var buf []byte
 	buf = appendHello(buf)
-	buf = appendHelloAck(buf, helloAck{Version: ProtocolVersion, Window: 128, Shards: 7, Machines: 64, Eps: awkward})
-	sub := submitFrame{ID: 42, Job: job.Job{ID: 9, Release: awkward, Proc: math.Pi, Deadline: 4.75}}
-	buf = appendSubmit(buf, sub)
-	ver := verdictFrame{ID: 42, Status: statusAccept, Machine: 3, Start: awkward * 2}
-	buf = appendVerdict(buf, ver)
-	errVer := verdictFrame{ID: 43, Status: statusError, Msg: "wal poisoned"}
-	buf = appendVerdict(buf, errVer)
+	buf = appendHelloAck(buf, ackIn)
+	buf = appendSubmitBatch(buf, sub)
+	buf = appendVerdictBatch(buf, ver)
+	buf = appendVerdictBatch(buf, errVer)
 
 	br := bufio.NewReader(bytes.NewReader(buf))
+	next := func() []byte {
+		t.Helper()
+		p, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 
-	p, err := readFrame(br)
-	if err != nil || decodeHello(p) != nil {
-		t.Fatalf("hello round-trip: %v / %v", err, decodeHello(p))
+	if err := decodeHello(next()); err != nil {
+		t.Fatalf("hello round-trip: %v", err)
 	}
-	p, err = readFrame(br)
+	ack, err := decodeHelloAck(next())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := decodeHelloAck(p)
+	if ack != ackIn {
+		t.Fatalf("hello-ack mangled: %+v != %+v", ack, ackIn)
+	}
+	gotSub, err := decodeSubmitBatch(next())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Window != 128 || ack.Shards != 7 || ack.Machines != 64 || ack.Eps != awkward {
-		t.Fatalf("hello-ack mangled: %+v", ack)
-	}
-	p, err = readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSub, err := decodeSubmit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSub != sub {
+	if gotSub.ID != sub.ID || len(gotSub.Jobs) != 1 || gotSub.Jobs[0] != sub.Jobs[0] {
 		t.Fatalf("submit mangled: %+v != %+v", gotSub, sub)
 	}
-	p, err = readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVer, err := decodeVerdict(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotVer != ver {
-		t.Fatalf("verdict mangled: %+v != %+v", gotVer, ver)
-	}
-	p, err = readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotErr, err := decodeVerdict(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotErr != errVer {
-		t.Fatalf("error verdict mangled: %+v != %+v", gotErr, errVer)
+	for _, want := range []verdictBatchFrame{ver, errVer} {
+		got, err := decodeVerdictBatch(next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want.ID || len(got.Verdicts) != 1 || got.Verdicts[0] != want.Verdicts[0] {
+			t.Fatalf("verdict mangled: %+v != %+v", got, want)
+		}
 	}
 }
 
@@ -190,6 +180,36 @@ func TestWireBatchRejectsMalformed(t *testing.T) {
 	if _, err := decodeSubmitBatch(crossType); err == nil {
 		t.Fatal("verdict batch decoded as submit batch")
 	}
+
+	// A message longer than the encoder ever writes: it would decode and
+	// re-encode truncated, so the decoder refuses it.
+	long := appendVerdictBatch(nil, verdictBatchFrame{ID: 1, Verdicts: []batchVerdict{{Status: statusError, Msg: "x"}}})
+	lp := append([]byte(nil), long[wireHeaderLen:len(long)-1]...)
+	binary.LittleEndian.PutUint16(lp[batchHdrLen+17:], maxMsgLen+100)
+	lp = append(lp, bytes.Repeat([]byte("x"), maxMsgLen+100)...)
+	if _, err := decodeVerdictBatch(lp); err == nil {
+		t.Fatalf("%d-byte message accepted, encoder caps at %d", maxMsgLen+100, maxMsgLen)
+	}
+}
+
+// TestWireRejectsRetiredFrames: version 2's one-job SUBMIT (3) and
+// VERDICT (4) frames are protocol errors to both decoders, like any
+// unknown type.
+func TestWireRejectsRetiredFrames(t *testing.T) {
+	sub := appendSubmitBatch(nil, submitBatchFrame{ID: 1, Jobs: []job.Job{testJob(1)}})
+	ver := appendVerdictBatch(nil, verdictBatchFrame{ID: 1, Verdicts: []batchVerdict{{Status: statusReject}}})
+	for _, typ := range []byte{3, 4} {
+		sp := append([]byte(nil), sub[wireHeaderLen:]...)
+		sp[0] = typ
+		if _, err := decodeSubmitBatch(sp); err == nil {
+			t.Fatalf("frame type %d decoded as a submit batch", typ)
+		}
+		vp := append([]byte(nil), ver[wireHeaderLen:]...)
+		vp[0] = typ
+		if _, err := decodeVerdictBatch(vp); err == nil {
+			t.Fatalf("frame type %d decoded as a verdict batch", typ)
+		}
+	}
 }
 
 // TestWireBatchRejectsCorruption flips one byte of a valid batch frame
@@ -208,10 +228,10 @@ func TestWireBatchRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestWireRejectsCorruption flips one byte of a valid frame and expects
-// the CRC to catch it.
+// TestWireRejectsCorruption flips one byte of a valid one-job frame and
+// expects the CRC to catch it.
 func TestWireRejectsCorruption(t *testing.T) {
-	buf := appendSubmit(nil, submitFrame{ID: 1, Job: job.Job{ID: 1, Release: 0, Proc: 1, Deadline: 2}})
+	buf := appendSubmitBatch(nil, submitBatchFrame{ID: 1, Jobs: []job.Job{{ID: 1, Release: 0, Proc: 1, Deadline: 2}}})
 	for i := wireHeaderLen; i < len(buf); i++ {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0x40
@@ -237,6 +257,11 @@ func TestWireRejectsBadHello(t *testing.T) {
 	if err := decodeHello(wrongVersion); err == nil {
 		t.Fatal("future protocol version accepted")
 	}
+	v2 := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint16(v2[5:], 2)
+	if err := decodeHello(v2); err == nil {
+		t.Fatal("protocol v2 hello accepted: its one-job frames are gone")
+	}
 	if _, err := decodeHelloAck(payload); err == nil {
 		t.Fatal("hello decoded as hello-ack")
 	}
@@ -245,14 +270,14 @@ func TestWireRejectsBadHello(t *testing.T) {
 // TestWireVerdictStatuses rejects statuses outside the defined range so
 // a corrupted-but-CRC-colliding frame cannot smuggle a fake verdict.
 func TestWireVerdictStatuses(t *testing.T) {
-	buf := appendVerdict(nil, verdictFrame{ID: 1, Status: statusReject})
+	buf := appendVerdictBatch(nil, verdictBatchFrame{ID: 1, Verdicts: []batchVerdict{{Status: statusReject}}})
 	payload := append([]byte(nil), buf[wireHeaderLen:]...)
-	payload[9] = 0
-	if _, err := decodeVerdict(payload); err == nil {
+	payload[batchHdrLen] = 0
+	if _, err := decodeVerdictBatch(payload); err == nil {
 		t.Fatal("status 0 accepted")
 	}
-	payload[9] = statusError + 1
-	if _, err := decodeVerdict(payload); err == nil {
+	payload[batchHdrLen] = statusError + 1
+	if _, err := decodeVerdictBatch(payload); err == nil {
 		t.Fatal("out-of-range status accepted")
 	}
 }

@@ -42,15 +42,12 @@ func (t *Threshold) ImportState(s State) error {
 	return t.Threshold.ImportState(st)
 }
 
-// ThresholdBuilder returns the Builder for Algorithm 1. Core options
-// (engine selection, tracer) are baked into every instance the builder
-// constructs — this is how the serving layer's WithCoreOptions keeps
-// working under the policy interface.
-func ThresholdBuilder(opts ...core.Option) Builder {
+// ThresholdBuilder returns the Builder for Algorithm 1.
+func ThresholdBuilder() Builder {
 	return Builder{
 		Spec: SpecThreshold,
 		New: func(m int, eps float64) (AdmissionPolicy, error) {
-			return NewThreshold(m, eps, opts...)
+			return NewThreshold(m, eps)
 		},
 	}
 }

@@ -14,7 +14,7 @@ func TestReqQueueOrderAndDrain(t *testing.T) {
 	q := newReqQueue(8)
 	reqs := make([]*request, 5)
 	for i := range reqs {
-		reqs[i] = &request{job: job.Job{ID: i, Proc: 1, Deadline: 100}}
+		reqs[i] = &request{oneJob: [1]job.Job{{ID: i, Proc: 1, Deadline: 100}}}
 		if !q.push(reqs[i]) {
 			t.Fatalf("push %d refused on open queue", i)
 		}
@@ -116,7 +116,7 @@ func TestReqQueueConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if !q.push(&request{job: job.Job{ID: p*perProducer + i, Proc: 1, Deadline: 1e9}}) {
+				if !q.push(&request{oneJob: [1]job.Job{{ID: p*perProducer + i, Proc: 1, Deadline: 1e9}}}) {
 					t.Errorf("producer %d: push refused", p)
 					return
 				}
@@ -135,7 +135,7 @@ func TestReqQueueConcurrentProducers(t *testing.T) {
 		var ok bool
 		scratch, ok = q.drain(scratch[:0])
 		for _, r := range scratch {
-			p, i := r.job.ID/perProducer, r.job.ID%perProducer
+			p, i := r.oneJob[0].ID/perProducer, r.oneJob[0].ID%perProducer
 			if i <= lastSeen[p] {
 				t.Fatalf("producer %d order broken: saw %d after %d", p, i, lastSeen[p])
 			}

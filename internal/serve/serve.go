@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"loadmax/internal/core"
 	"loadmax/internal/job"
 	"loadmax/internal/obs"
 	"loadmax/internal/online"
@@ -100,7 +99,6 @@ type config struct {
 	reg           *obs.Registry
 	spans         *obs.SpanRecorder
 	log           bool
-	coreOpts      []core.Option
 	batchHook     func() // test-only: runs at the head of every batch
 	durDir        string
 	flushInterval time.Duration
@@ -167,12 +165,6 @@ func WithSpans(rec *obs.SpanRecorder) Option { return func(c *config) { c.spans 
 // appends per decision; leave off for pure throughput serving.
 func WithDecisionLog() Option { return func(c *config) { c.log = true } }
 
-// WithCoreOptions forwards options to each shard's core.Threshold
-// (engine selection, forced phase — benchmark and ablation use).
-func WithCoreOptions(opts ...core.Option) Option {
-	return func(c *config) { c.coreOpts = append(c.coreOpts, opts...) }
-}
-
 // withBatchHook is the white-box test hook: f runs at the head of every
 // drained batch, letting tests stall a shard deterministically.
 func withBatchHook(f func()) Option { return func(c *config) { c.batchHook = f } }
@@ -211,36 +203,44 @@ const (
 	ctlCheckpoint
 )
 
-// request is one in-flight submission or control op. Submission requests
-// are pooled; done is a 1-buffered channel so the shard's reply never
-// blocks on the caller. Under durability the shard parks the decision in
-// dec until the WAL group commits, then releases it.
-//
-// A batched submission (SubmitBatch) sets jobs/out instead of job/dec:
-// the whole sub-batch rides the shard queue as ONE channel send, the
-// shard decides the jobs one at a time in batch order, and out[i] is
-// job i's result. Batch requests are not pooled — their allocation is
-// amortized over the batch.
+// maxPooledJobs bounds the job buffer a pooled request keeps; a request
+// that carried a larger sub-batch goes back to its inline room.
+const maxPooledJobs = 1024
+
+// request is one in-flight submission or control op. A submission is a
+// sub-batch of one or many jobs bound for one shard: it rides the shard
+// queue as ONE push, the shard decides jobs[i] and writes out[i] in
+// order, and done carries the reply (1-buffered, so the shard never
+// blocks on the caller). Under durability the shard parks the request
+// until its WAL group commits, then releases it. Requests are pooled
+// with inline room for one job, so a one-job submission allocates
+// nothing.
 type request struct {
-	job  job.Job
-	ctl  ctlOp
-	dec  online.Decision
-	jobs []job.Job     // batched submission (nil for single-job requests)
-	out  []BatchResult // per-job results for a batched submission
-	done chan response
+	ctl   ctlOp
+	shard int // the shard whose queue the request rides
+	jobs  []job.Job
+	out   []BatchResult
+	done  chan error
 
-	// Span capture (nil sp unless the service has a recorder AND the
-	// caller passed a span). enqNs/walNs are recorder-clock marks set at
-	// enqueue and post-decide; sp MUST be cleared before pooling.
-	sp    *obs.Span
-	enqNs int64
-	walNs int64
-}
+	oneJob [1]job.Job
+	oneOut [1]BatchResult
 
-// response is a shard's reply to one request.
-type response struct {
-	dec online.Decision
-	err error
+	// Submitter-side bookkeeping: the next request of the same batch (in
+	// shard order), the gather cursor into out, and — on the head of a
+	// batch that split across shards — each job's shard and each shard's
+	// request.
+	link    *request
+	next    int
+	shardOf []int32
+	byShard []*request
+
+	// Tracing: recorder-clock marks at enqueue and at the end of decide,
+	// and the stages the shard measured, which the submitter folds into
+	// the caller's span. A request never points at the caller's span, so
+	// shards deciding one batch's sub-batches never share one.
+	traced             bool
+	enqNs, decidedNs   int64
+	queue, decide, wal int64
 }
 
 // Service is the sharded admission frontend. Construct with New, or
@@ -275,7 +275,8 @@ type shard struct {
 	q        *reqQueue
 	maxBatch int
 	hook     func()
-	log      *shardLog // nil unless WithDecisionLog
+	log      *shardLog  // nil unless WithDecisionLog
+	pending  []*request // process scratch: requests awaiting the group commit
 
 	// Durability (nil/zero unless WithDurability). wal and walErr are
 	// owned by the shard goroutine; base/baseMass are set once during
@@ -348,12 +349,8 @@ func build(shards, m int, eps float64, cfg *config) (*Service, error) {
 	if cfg.batchSize < 1 {
 		cfg.batchSize = 1
 	}
-	// Resolve the admission builder: Threshold by default, and Threshold
-	// always carries the core options (engine selection, tracer) — a
-	// threshold builder from policy.Parse doesn't know about them.
-	if cfg.admission.New == nil ||
-		(cfg.admission.Spec == policy.SpecThreshold && len(cfg.coreOpts) > 0) {
-		cfg.admission = policy.ThresholdBuilder(cfg.coreOpts...)
+	if cfg.admission.New == nil {
+		cfg.admission = policy.ThresholdBuilder()
 	}
 	s := &Service{
 		m:         m,
@@ -365,7 +362,9 @@ func build(shards, m int, eps float64, cfg *config) (*Service, error) {
 		spans:     cfg.spans,
 	}
 	s.pool.New = func() any {
-		return &request{done: make(chan response, 1)}
+		r := &request{done: make(chan error, 1)}
+		r.jobs, r.out = r.oneJob[:0], r.oneOut[:0]
+		return r
 	}
 	s.backpressure = cfg.reg.Counter("serve_backpressure_total")
 	s.fsyncHist = cfg.reg.Histogram("serve_wal_fsync_seconds", obs.ExpBucketsRange(1e-6, 4, 12))
@@ -450,61 +449,9 @@ func (s *Service) Submit(j job.Job) (online.Decision, error) {
 // it to the recorder. With a nil span (or no recorder) it is exactly
 // Submit.
 func (s *Service) SubmitSpan(j job.Job, sp *obs.Span) (online.Decision, error) {
-	idx := s.policy.Route(j, len(s.shards))
-	if idx < 0 || idx >= len(s.shards) {
-		idx = ((idx % len(s.shards)) + len(s.shards)) % len(s.shards)
-	}
-	sh := s.shards[idx]
-	req := s.pool.Get().(*request)
-	req.job = j
-	req.ctl = ctlSubmit
-	if s.spans != nil && sp != nil {
-		req.sp = sp
-		// The enqueue mark is derived, not read: Start plus the stages
-		// already recorded (frame decode on the network path) is "now" to
-		// within the cost of this call, so the hand-off into the shard
-		// queue — dispatch included — lands in queue_wait without a clock
-		// read per traced submission.
-		req.enqNs = sp.Start + sp.Total()
-	}
-
-	// The read lock pins the queues open: Close flips closed and closes
-	// them only under the write lock, which waits for every in-flight
-	// push. A blocked push cannot deadlock Close — the shard goroutine
-	// keeps draining until its queue is closed, which happens only after
-	// this push completes and the lock is released.
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		req.sp = nil
-		s.pool.Put(req)
-		return online.Decision{}, ErrClosed
-	}
-	if s.bp == Reject {
-		if ok, closed := sh.q.tryPush(req); !ok {
-			s.mu.RUnlock()
-			req.sp = nil
-			s.pool.Put(req)
-			if closed {
-				return online.Decision{}, ErrClosed
-			}
-			// Rejects stripe by shard index: N submitters bouncing off N
-			// full queues must not serialize on one backpressure cell.
-			s.backpressure.Stripe(idx).Inc()
-			return online.Decision{}, ErrBackpressure
-		}
-	} else if !sh.q.push(req) {
-		s.mu.RUnlock()
-		req.sp = nil
-		s.pool.Put(req)
-		return online.Decision{}, ErrClosed
-	}
-	s.mu.RUnlock()
-
-	resp := <-req.done
-	req.sp = nil // never pool a span pointer: the span belongs to the caller
-	s.pool.Put(req)
-	return resp.dec, resp.err
+	var out [1]BatchResult
+	s.submit([]job.Job{j}, out[:], sp)
+	return out[0].Dec, out[0].Err
 }
 
 // BatchResult is one job's outcome from SubmitBatch: a decision, or the
@@ -523,7 +470,7 @@ type BatchResult struct {
 // order, and the decision stream is bit-identical to the same jobs
 // submitted individually in that order (VerifyReplay holds with
 // batching on). What batching amortizes is the handoff: each shard's
-// sub-batch is enqueued as ONE channel send, and under durability the
+// sub-batch is enqueued as ONE queue push, and under durability the
 // whole sub-batch shares one group-commit fsync.
 //
 // Under the Reject backpressure policy a full shard queue fails that
@@ -539,134 +486,220 @@ func (s *Service) SubmitBatch(jobs []job.Job) []BatchResult {
 // across shards runs its sub-batches concurrently, so sp aggregates:
 // queue_wait and wal are the maximum across sub-batches (the wall-time
 // the batch waited), decide is the sum (the engine time the batch
-// cost), Shard is the first sub-batch's shard, and Verdict is "accept"
-// if any job was accepted, else "error" if any job failed, else
-// "reject". The span is the caller's — SubmitBatchSpan does not Finish
-// it.
+// cost), Shard is the lowest shard the batch reached, and Verdict is
+// SpanVerdict of the results. The span is the caller's —
+// SubmitBatchSpan does not Finish it.
 func (s *Service) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []BatchResult {
 	out := make([]BatchResult, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	nsh := len(s.shards)
-	// Route per job, then group into per-shard sub-batches preserving
-	// input order — a batch that splits across shards is just N
-	// independent sub-batches.
-	subIdx := make([][]int, nsh)
-	for i, j := range jobs {
-		idx := s.policy.Route(j, nsh)
-		if idx < 0 || idx >= nsh {
-			idx = ((idx % nsh) + nsh) % nsh
-		}
-		subIdx[idx] = append(subIdx[idx], i)
-	}
-	traced := s.spans != nil && sp != nil
-	var enqNs int64
-	if traced {
-		enqNs = sp.Start + sp.Total() // derived mark, as in SubmitSpan
-	}
-
-	var reqs []*request
-	var reqIdxs [][]int
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		for i := range out {
-			out[i].Err = ErrClosed
-		}
-		return out
-	}
-	for shIdx, idxs := range subIdx {
-		if len(idxs) == 0 {
-			continue
-		}
-		sub := make([]job.Job, len(idxs))
-		for k, i := range idxs {
-			sub[k] = jobs[i]
-		}
-		req := &request{
-			jobs: sub,
-			out:  make([]BatchResult, len(idxs)),
-			done: make(chan response, 1),
-		}
-		if traced {
-			// Each sub-batch gets its own span so concurrent shard
-			// goroutines never share one; they are merged below once
-			// every sub-batch has replied.
-			req.sp = &obs.Span{Start: sp.Start}
-			req.enqNs = enqNs
-		}
-		sh := s.shards[shIdx]
-		if s.bp == Reject {
-			ok, closed := sh.q.tryPush(req)
-			if !ok {
-				err := ErrBackpressure
-				if closed {
-					err = ErrClosed
-				} else {
-					s.backpressure.Stripe(shIdx).Inc()
-				}
-				for _, i := range idxs {
-					out[i].Err = err
-				}
-				continue
-			}
-		} else if !sh.q.push(req) {
-			for _, i := range idxs {
-				out[i].Err = ErrClosed
-			}
-			continue
-		}
-		reqs = append(reqs, req)
-		reqIdxs = append(reqIdxs, idxs)
-	}
-	s.mu.RUnlock()
-
-	for k, req := range reqs {
-		<-req.done
-		for pos, i := range reqIdxs[k] {
-			out[i] = req.out[pos]
-		}
-	}
-	if traced {
-		var queueMax, walMax, decideSum int64
-		shard := int32(0)
-		for k, req := range reqs {
-			if k == 0 {
-				shard = req.sp.Shard
-			}
-			if q := req.sp.Stages[obs.StageQueue]; q > queueMax {
-				queueMax = q
-			}
-			if w := req.sp.Stages[obs.StageWAL]; w > walMax {
-				walMax = w
-			}
-			decideSum += req.sp.Stages[obs.StageDecide]
-		}
-		sp.Shard = shard
-		sp.Stages[obs.StageQueue] = queueMax
-		sp.Stages[obs.StageWAL] = walMax
-		sp.Stages[obs.StageDecide] = decideSum
-		sp.Verdict = batchSpanVerdict(out)
-	}
+	s.submit(jobs, out, sp)
 	return out
 }
 
-// batchSpanVerdict labels a batch span: accept dominates (at least one
-// commitment was made), then error, then reject.
-func batchSpanVerdict(out []BatchResult) string {
-	anyErr := false
-	for _, r := range out {
-		if r.Err != nil {
-			anyErr = true
-		} else if r.Dec.Accepted {
-			return obs.VerdictAccept
+// submit is the one submission path under Submit, SubmitSpan,
+// SubmitBatch and SubmitBatchSpan: a job is a batch of one. It hands
+// each shard its sub-batch as one queue push, waits for every shard and
+// writes job i's result into out[i]. The requests copy the jobs in and
+// the results out, so neither slice is retained and a caller's
+// one-element arrays stay on its stack. The frame is kept small on
+// purpose: the server calls this from a fresh goroutine per frame, and a
+// frame that outgrows the starting stack pays a stack copy per request.
+func (s *Service) submit(jobs []job.Job, out []BatchResult, sp *obs.Span) {
+	if len(jobs) == 0 {
+		return
+	}
+	head := s.split(jobs)
+	traced := s.spans != nil && sp != nil
+	var enqNs int64
+	if traced {
+		// The enqueue mark is derived, not read: Start plus the stages
+		// already recorded (frame decode on the network path) is "now" to
+		// within the cost of this call, so the hand-off into the shard
+		// queue lands in queue_wait without a clock read.
+		enqNs = sp.Start + sp.Total()
+	}
+	// The read lock pins the queues open: Close closes them only under
+	// the write lock, which waits for every in-flight push. A blocked
+	// push cannot deadlock Close — the shard goroutine keeps draining
+	// until its queue is closed, which happens only after this push
+	// completes and the lock is released.
+	s.mu.RLock()
+	for r := head; r != nil; r = r.link {
+		r.traced, r.enqNs = traced, enqNs
+		s.enqueue(r)
+	}
+	s.mu.RUnlock()
+	if !traced {
+		sp = nil
+	}
+	s.collect(head, out, sp)
+}
+
+// split routes every job exactly once, in order (round-robin counts
+// calls), into one pooled request per shard, linked in shard order from
+// head. A batch that lands on one shard — every one-job batch does —
+// needs no scatter buffers; otherwise head keeps them for collect.
+func (s *Service) split(jobs []job.Job) (head *request) {
+	var shardOf []int32
+	first := s.route(jobs[0])
+	for i := 1; i < len(jobs); i++ {
+		idx := s.route(jobs[i])
+		if shardOf == nil && idx != first {
+			shardOf = make([]int32, len(jobs))
+			for k := range i {
+				shardOf[k] = int32(first)
+			}
+		}
+		if shardOf != nil {
+			shardOf[i] = int32(idx)
 		}
 	}
-	if anyErr {
-		return obs.VerdictError
+	if shardOf == nil {
+		head = s.getRequest(first)
+		for _, j := range jobs {
+			head.add(j)
+		}
+		return head
 	}
-	return obs.VerdictReject
+	byShard := make([]*request, len(s.shards))
+	for i, j := range jobs {
+		r := byShard[shardOf[i]]
+		if r == nil {
+			r = s.getRequest(int(shardOf[i]))
+			byShard[shardOf[i]] = r
+		}
+		r.add(j)
+	}
+	tail := &head
+	for _, r := range byShard {
+		if r != nil {
+			*tail = r
+			tail = &r.link
+		}
+	}
+	head.shardOf, head.byShard = shardOf, byShard
+	return head
+}
+
+// collect waits for every request of a batch, gathers job i's result
+// into out[i], stamps sp (nil when untraced) and pools the requests. A
+// batch that split across shards ran its sub-batches concurrently, so
+// sp aggregates: queue_wait and wal are the maximum (the wall time the
+// batch waited), decide is the sum (the engine time it cost), and Shard
+// is the lowest shard it reached.
+func (s *Service) collect(head *request, out []BatchResult, sp *obs.Span) {
+	for r := head; r != nil; r = r.link {
+		<-r.done
+	}
+	if head.shardOf == nil {
+		copy(out, head.out)
+	} else {
+		for i := range out {
+			r := head.byShard[head.shardOf[i]]
+			out[i] = r.out[r.next]
+			r.next++
+		}
+	}
+	if sp != nil {
+		sp.Shard = int32(head.shard)
+		sp.Stages[obs.StageQueue], sp.Stages[obs.StageDecide], sp.Stages[obs.StageWAL] = 0, 0, 0
+		for r := head; r != nil; r = r.link {
+			sp.Stages[obs.StageQueue] = max(sp.Stages[obs.StageQueue], r.queue)
+			sp.Stages[obs.StageDecide] += r.decide
+			sp.Stages[obs.StageWAL] = max(sp.Stages[obs.StageWAL], r.wal)
+		}
+		sp.Verdict = SpanVerdict(out)
+	}
+	for r := head; r != nil; {
+		next := r.link
+		s.putRequest(r)
+		r = next
+	}
+}
+
+// route returns the job's shard, folding a misbehaving policy's
+// out-of-range index back into range.
+func (s *Service) route(j job.Job) int {
+	n := len(s.shards)
+	idx := s.policy.Route(j, n)
+	if idx < 0 || idx >= n {
+		idx = ((idx % n) + n) % n
+	}
+	return idx
+}
+
+// enqueue pushes r onto its shard's queue. A refused push — the queue
+// is closed, or full under Reject — answers r on the spot, so the
+// submitter waits on every request alike. Call with s.mu read-held.
+func (s *Service) enqueue(r *request) {
+	q := s.shards[r.shard].q
+	var err error
+	if s.bp == Reject {
+		if ok, closed := q.tryPush(r); !ok {
+			err = ErrClosed
+			if !closed {
+				// Rejects stripe by shard index: N submitters bouncing off
+				// N full queues must not serialize on one cell.
+				s.backpressure.Stripe(r.shard).Inc()
+				err = ErrBackpressure
+			}
+		}
+	} else if !q.push(r) {
+		err = ErrClosed
+	}
+	if err != nil {
+		for i := range r.out {
+			r.out[i] = BatchResult{Err: err}
+		}
+		r.done <- nil
+	}
+}
+
+// getRequest hands out a pooled submission request for shard idx.
+func (s *Service) getRequest(idx int) *request {
+	r := s.pool.Get().(*request)
+	r.shard = idx
+	return r
+}
+
+// add appends a job and the slot for its result.
+func (r *request) add(j job.Job) {
+	r.jobs = append(r.jobs, j)
+	r.out = append(r.out, BatchResult{})
+}
+
+// putRequest resets a drained submission request and pools it.
+func (s *Service) putRequest(r *request) {
+	clear(r.out) // results may hold errors; the pool must not pin them
+	if cap(r.jobs) > maxPooledJobs {
+		r.jobs, r.out = r.oneJob[:0], r.oneOut[:0]
+	}
+	r.jobs, r.out = r.jobs[:0], r.out[:0]
+	r.link, r.next, r.shardOf, r.byShard = nil, 0, nil, nil
+	r.traced, r.queue, r.decide, r.wal = false, 0, 0, 0
+	s.pool.Put(r)
+}
+
+// SpanVerdict labels a request span from its per-job results: accept
+// if any job was accepted (a commitment was made), else the gravest
+// other outcome — error, then shed (ErrBackpressure), then reject. A
+// one-job request gets exactly its job's verdict.
+func SpanVerdict(out []BatchResult) string {
+	v := obs.VerdictReject
+	for _, r := range out {
+		switch {
+		case r.Err == nil:
+			if r.Dec.Accepted {
+				return obs.VerdictAccept
+			}
+		case errors.Is(r.Err, ErrBackpressure):
+			if v == obs.VerdictReject {
+				v = obs.VerdictShed
+			}
+		default:
+			v = obs.VerdictError
+		}
+	}
+	return v
 }
 
 // Checkpoint makes every shard write an atomic snapshot of its scheduler
@@ -687,14 +720,14 @@ func (s *Service) Checkpoint() error {
 	// Control requests are not pooled: they are rare and carry no job.
 	reqs := make([]*request, len(s.shards))
 	for i, sh := range s.shards {
-		reqs[i] = &request{ctl: ctlCheckpoint, done: make(chan response, 1)}
+		reqs[i] = &request{ctl: ctlCheckpoint, done: make(chan error, 1)}
 		sh.q.push(reqs[i])
 	}
 	s.mu.RUnlock()
 	var first error
 	for _, req := range reqs {
-		if resp := <-req.done; resp.err != nil && first == nil {
-			first = resp.err
+		if err := <-req.done; err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -824,7 +857,7 @@ func (sh *shard) process(batch []*request) {
 	// atomics: submitted before the verdict counters, so a concurrent
 	// Snapshot can never observe accepted+rejected > submitted.
 	publish := func() {
-		sh.jobsTotal.Add(submitted) // decisions, not drained requests: a batch request is many
+		sh.jobsTotal.Add(submitted) // decisions, not drained requests: a request may carry many
 		sh.submitted.Add(submitted)
 		sh.acceptedMassBits.Store(math.Float64bits(mass))
 		sh.accepted.Add(accepted)
@@ -832,10 +865,10 @@ func (sh *shard) process(batch []*request) {
 		submitted, accepted, rejected = 0, 0, 0
 	}
 
-	// pending holds requests whose decisions await the group commit — a
-	// parked batch request waits as one unit, so the whole batch shares
-	// the fsync with everything else in the group.
-	var pending []*request
+	// pending holds requests whose decisions await the group commit; a
+	// parked request waits as one unit, so all its jobs share the fsync
+	// with everything else in the group.
+	pending := sh.pending[:0]
 	flush := func() {
 		if len(pending) == 0 {
 			return
@@ -851,87 +884,71 @@ func (sh *shard) process(batch []*request) {
 			committedNs = sh.spans.Now()
 		}
 		for _, r := range pending {
-			if r.sp != nil {
-				r.sp.Stages[obs.StageWAL] = committedNs - r.walNs
+			if r.traced {
+				r.wal = committedNs - r.decidedNs
 			}
-			if r.jobs != nil {
-				// Batch request: a failed commit poisons every job that
-				// was awaiting it; jobs that already failed keep their
-				// original error. Results travel in r.out.
-				if err != nil {
-					for i := range r.out {
-						if r.out[i].Err == nil {
-							r.out[i] = BatchResult{Err: sh.walErr}
-						}
+			// A failed commit poisons every job that was awaiting it;
+			// jobs that already failed keep their original error.
+			if err != nil {
+				for i := range r.out {
+					if r.out[i].Err == nil {
+						r.out[i] = BatchResult{Err: sh.walErr}
 					}
 				}
-				r.done <- response{}
-				continue
 			}
-			if err != nil {
-				r.done <- response{err: sh.walErr}
-			} else {
-				r.done <- response{dec: r.dec}
-			}
+			r.done <- nil
 		}
+		clear(pending) // drop request pointers before the slice is reused
 		pending = pending[:0]
 	}
 
-	// lastNs is a running clock mark threaded through consecutive traced
-	// requests: request i's decide end is request i+1's dequeue point (the
-	// shard is single-threaded, so the time in between IS queue wait).
-	// One clock read per request instead of two; 0 forces a fresh read
-	// after anything untimed happened in between (checkpoint fsync, WAL
-	// append, an untraced request).
-	var lastNs int64
 	for _, r := range batch {
 		if r.ctl == ctlCheckpoint {
 			// The snapshot must cover every decision made so far: commit
 			// the open group and publish the accumulators first.
 			flush()
 			publish()
-			r.done <- response{err: sh.checkpoint()}
-			lastNs = 0
+			r.done <- sh.checkpoint()
 			continue
 		}
-		if r.jobs != nil {
-			// Batched submission: decide the jobs one at a time in batch
-			// order. Batching amortizes the channel handoff (one send for
-			// the sub-batch), the WAL fsync (the batch parks as one unit
-			// in the commit group) and, under tracing, the clock reads
-			// (one pair around the whole batch instead of one per job) —
-			// it never changes a decision.
-			var batchStartNs int64
-			if r.sp != nil {
-				batchStartNs = sh.spans.Now()
-				r.sp.Shard = int32(sh.id)
-				r.sp.Stages[obs.StageQueue] = batchStartNs - r.enqNs
+		// One request, one job or many: decide the jobs one at a time in
+		// order. Batching amortizes the queue push, the WAL fsync (the
+		// request parks as one unit in the commit group) and, under
+		// tracing, the clock reads (one pair per request, not per job) —
+		// it never changes a decision.
+		var startNs int64
+		if r.traced {
+			startNs = sh.spans.Now()
+			r.queue = startNs - r.enqNs
+		}
+		parked := false
+		for i, j := range r.jobs {
+			if sh.walErr != nil {
+				// Poisoned: the log can no longer keep up with the
+				// scheduler, so refuse before the scheduler state advances.
+				r.out[i] = BatchResult{Err: sh.walErr}
+				continue
 			}
-			parked := false
-			for i := range r.jobs {
-				if sh.walErr != nil {
-					r.out[i] = BatchResult{Err: sh.walErr}
-					continue
-				}
-				j := r.jobs[i]
-				if clock := sh.th.Now(); j.Release < clock {
-					j.Release = clock
-				}
-				dec := sh.th.Submit(j)
-				if sh.log != nil {
-					sh.log.append(j, dec)
-				}
-				submitted++
-				if dec.Accepted {
-					accepted++
-					mass += j.Proc
-				} else {
-					rejected++
-				}
-				if sh.wal == nil {
-					r.out[i] = BatchResult{Dec: dec}
-					continue
-				}
+			// Arrival clamp: the job arrives at its shard no earlier than
+			// the shard clock. Concurrent submitters make no
+			// cross-goroutine ordering promise, so the shard — not the
+			// caller — fixes the effective release date, keeping the
+			// core's release-order protocol intact.
+			if clock := sh.th.Now(); j.Release < clock {
+				j.Release = clock
+			}
+			dec := sh.th.Submit(j)
+			if sh.log != nil {
+				sh.log.append(j, dec)
+			}
+			submitted++
+			if dec.Accepted {
+				accepted++
+				mass += j.Proc
+			} else {
+				rejected++
+			}
+			if sh.wal != nil {
 				seq, err := sh.wal.Append(j, dec)
 				if err != nil {
 					sh.walErr = fmt.Errorf("serve: shard %d wal: %w", sh.id, err)
@@ -940,86 +957,22 @@ func (sh *shard) process(batch []*request) {
 				}
 				sh.walSeq.Store(seq)
 				sh.walTotal.Inc()
-				r.out[i] = BatchResult{Dec: dec}
 				parked = true
 			}
-			if r.sp != nil {
-				decidedNs := sh.spans.Now()
-				r.sp.Stages[obs.StageDecide] = decidedNs - batchStartNs
-				r.walNs = decidedNs
-			}
-			if parked {
-				pending = append(pending, r)
-			} else {
-				r.done <- response{}
-			}
-			lastNs = 0
-			continue
+			r.out[i] = BatchResult{Dec: dec}
 		}
-		if sh.walErr != nil {
-			// Poisoned: the log can no longer keep up with the scheduler,
-			// so refuse before the scheduler state advances.
-			r.done <- response{err: sh.walErr}
-			lastNs = 0
-			continue
+		if r.traced {
+			r.decidedNs = sh.spans.Now()
+			r.decide = r.decidedNs - startNs
 		}
-		j := r.job
-		if r.sp != nil {
-			if lastNs == 0 {
-				lastNs = sh.spans.Now()
-			}
-			r.sp.Shard = int32(sh.id)
-			r.sp.Stages[obs.StageQueue] = lastNs - r.enqNs
-		}
-		// Arrival clamp: the job arrives at its shard no earlier than the
-		// shard clock. Concurrent submitters make no cross-goroutine
-		// ordering promise, so the shard — not the caller — fixes the
-		// effective release date, keeping the core's release-order
-		// protocol intact.
-		if clock := sh.th.Now(); j.Release < clock {
-			j.Release = clock
-		}
-		dec := sh.th.Submit(j)
-		if r.sp != nil {
-			decidedNs := sh.spans.Now()
-			r.sp.Stages[obs.StageDecide] = decidedNs - lastNs
-			if dec.Accepted {
-				r.sp.Verdict = obs.VerdictAccept
-			} else {
-				r.sp.Verdict = obs.VerdictReject
-			}
-			r.walNs = decidedNs
-			lastNs = decidedNs
+		if parked {
+			pending = append(pending, r)
 		} else {
-			lastNs = 0
+			r.done <- nil
 		}
-		if sh.log != nil {
-			sh.log.append(j, dec)
-		}
-		submitted++
-		if dec.Accepted {
-			accepted++
-			mass += j.Proc
-		} else {
-			rejected++
-		}
-		if sh.wal == nil {
-			r.done <- response{dec: dec}
-			continue
-		}
-		seq, err := sh.wal.Append(j, dec)
-		if err != nil {
-			sh.walErr = fmt.Errorf("serve: shard %d wal: %w", sh.id, err)
-			r.done <- response{err: sh.walErr}
-			continue
-		}
-		sh.walSeq.Store(seq)
-		sh.walTotal.Inc()
-		r.dec = dec
-		pending = append(pending, r)
-		lastNs = 0 // the append was untimed; don't fold it into the next decide
 	}
 	flush()
+	sh.pending = pending
 	publish()
 	sh.batches.Add(1)
 	sh.outstandingBits.Store(math.Float64bits(sh.th.TotalLoad()))
