@@ -5,10 +5,13 @@ package loadmax
 // Quick mode, plus microbenchmarks of the hot paths. Regenerate the full
 // artifacts with: go run ./cmd/experiments
 import (
+	"fmt"
 	"testing"
 
 	"loadmax/internal/core"
 	"loadmax/internal/experiments"
+	"loadmax/internal/job"
+	"loadmax/internal/online"
 	"loadmax/internal/ratio"
 	"loadmax/internal/sim"
 	"loadmax/internal/workload"
@@ -88,23 +91,60 @@ func BenchmarkE15_UnitJobs(b *testing.B) { benchExperiment(b, "E15") }
 
 // --- Microbenchmarks -------------------------------------------------------
 
-// BenchmarkSubmit measures the per-job admission decision (sort + threshold
-// + best fit) on a loaded 8-machine system.
+// BenchmarkSubmit measures the per-job admission decision of both core
+// engines — the seed's naive engine and the default incremental one —
+// across machine counts, on a 20k-job poisson stream at ε = 0.1 and
+// load 1.5. Both engines decide bit-identically: m ≤ 512 is held by
+// internal/core's equivalence tests, and the m = 4096 stream, too slow
+// for the test suite, is replayed through both in lockstep once, before
+// its first timed run.
 func BenchmarkSubmit(b *testing.B) {
-	inst := workload.Poisson(workload.Spec{N: 10000, Eps: 0.1, M: 8, Seed: 42})
-	th, err := core.New(8, 0.1)
+	for _, m := range []int{2, 8, 64, 512, 4096} {
+		inst := workload.Poisson(workload.Spec{N: 20000, Eps: 0.1, M: m, Load: 1.5, Seed: 42})
+		checked := m < 4096
+		for _, engine := range []string{"naive", "incremental"} {
+			b.Run(fmt.Sprintf("m=%d/%s", m, engine), func(b *testing.B) {
+				if !checked {
+					checked = true
+					lockstepEngines(b, m, inst)
+				}
+				var opts []core.Option
+				if engine == "naive" {
+					opts = append(opts, core.WithNaiveCore())
+				}
+				th, err := core.New(m, 0.1, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					th.Submit(inst[i%len(inst)])
+					if (i+1)%len(inst) == 0 {
+						b.StopTimer()
+						th.Reset()
+						b.StartTimer()
+					}
+				}
+			})
+		}
+	}
+}
+
+// lockstepEngines fails b unless the naive and incremental engines make
+// identical decisions on inst.
+func lockstepEngines(b *testing.B, m int, inst job.Instance) {
+	b.Helper()
+	naive, err := core.New(m, 0.1, core.WithNaiveCore())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.Submit(inst[i%len(inst)])
-		if (i+1)%len(inst) == 0 {
-			b.StopTimer()
-			th.Reset()
-			b.StartTimer()
-		}
+	inc, err := core.New(m, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if div := online.Lockstep(naive, inc, inst); div != nil {
+		b.Fatalf("engines diverged at m=%d: %v", m, div)
 	}
 }
 

@@ -1,8 +1,7 @@
 package main
 
-// Run metadata stamped into every BENCH_*.json report so perf
-// trajectories stay comparable across hosts and commits. Added as a
-// single new "meta" field; all pre-existing report fields are stable.
+// Run metadata stamped into the arena report, so a report can be traced
+// to the host and commit that produced it.
 
 import (
 	"os"
@@ -18,8 +17,7 @@ type runMeta struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	// CPUModel is the host CPU's self-reported model name (from
-	// /proc/cpuinfo on Linux; empty where unavailable). Scaling numbers
-	// are meaningless without knowing the silicon they ran on.
+	// /proc/cpuinfo on Linux; empty where unavailable).
 	CPUModel string `json:"cpu_model,omitempty"`
 	GOOS     string `json:"goos"`
 	GOARCH   string `json:"goarch"`
@@ -29,8 +27,7 @@ type runMeta struct {
 	Commit string `json:"commit"`
 }
 
-// collectMeta gathers the stamp. GOMAXPROCS is read at call time, so
-// sweeps that change it should collect the stamp first.
+// collectMeta gathers the stamp.
 func collectMeta() runMeta {
 	return runMeta{
 		GoVersion:  runtime.Version(),

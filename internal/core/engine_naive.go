@@ -11,8 +11,8 @@ import (
 // loads and re-sorts the machine order on every clock advance, and scans
 // all m−k+1 threshold terms per dlim call. It is retained — bit for bit —
 // as the executable specification that the incremental engine is proved
-// against by the differential harness, and as the baseline of the
-// cmd/bench sweep.
+// against by the differential harness, and as the baseline of
+// BenchmarkSubmit.
 type naiveCore struct {
 	m int
 	p ratio.Params

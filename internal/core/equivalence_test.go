@@ -113,7 +113,8 @@ func epsValues(m int) []float64 {
 
 // TestEquivalenceRandomWorkloads replays every workload family through
 // both engines across m ∈ {1,2,3,8,64} and a slack sweep including exact
-// phase corners — ≥ 10k jobs in total, with full trace comparison.
+// phase corners — ≥ 10k jobs in total, with full trace comparison — and
+// one 4000-job poisson stream at m = 512 by decisions alone.
 func TestEquivalenceRandomWorkloads(t *testing.T) {
 	ms := []int{1, 2, 3, 8, 64}
 	total := 0
@@ -137,6 +138,27 @@ func TestEquivalenceRandomWorkloads(t *testing.T) {
 	}
 	if total < 10000 {
 		t.Fatalf("harness replayed only %d jobs, want ≥ 10000", total)
+	}
+
+	// BenchmarkSubmit's shape at m = 512 (poisson, ε = 0.1, load 1.5):
+	// 4000 jobs take the threshold deep into rejection, so the large-m
+	// rejection paths are compared too. Untraced, because every event
+	// would carry 512 loads.
+	const m = 512
+	inst := workload.Poisson(workload.Spec{N: 4000, Eps: 0.1, M: m, Load: 1.5, Seed: 42})
+	naive, inc, _, _ := newEnginePair(t, m, 0.1, false)
+	rejected := 0
+	for i, j := range inst {
+		dn, di := naive.Submit(j), inc.Submit(j)
+		if !online.SameDecision(dn, di) {
+			t.Fatalf("poisson m=%d: engines diverged at job %d: %v vs %v", m, i, dn, di)
+		}
+		if !di.Accepted {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatalf("poisson m=%d: no job rejected, the rejection paths were not compared", m)
 	}
 }
 

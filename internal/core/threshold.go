@@ -104,7 +104,7 @@ func WithTracer(s obs.Sink) Option { return func(c *config) { c.tracer = s } }
 // threshold rescan per submission — instead of the default incremental
 // engine. Decisions are bit-identical either way (the differential
 // harness enforces this); the naive engine exists as the executable
-// specification and as the baseline of the cmd/bench sweep.
+// specification and as the baseline of BenchmarkSubmit.
 func WithNaiveCore() Option { return func(c *config) { c.naive = true } }
 
 // Threshold is Algorithm 1. It satisfies online.Scheduler. The zero value

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,33 +73,52 @@ func sameStreams(t *testing.T, label string, a, b [][]serve.DecisionRecord) {
 	}
 }
 
-// TestGatewayFailover is the acceptance test for the cluster tier: two
-// groups, each a primary with a warm standby, traffic from concurrent
-// submitters, and a kill -9 (Server.Abort) of group 0's primary
-// mid-burst. It asserts the gateway promotes the standby, no
-// acknowledged verdict is lost or altered, and the merged cluster
-// decision stream passes policy-generic replay bit-identically
-// (VerifyMergedReplay). Run under -race by gateway-smoke.
+// TestGatewayFailover is the acceptance test for the cluster tier: one
+// or two groups, each a primary with a warm standby, four concurrent
+// streams of traffic — submitted in process, or through a netserve front
+// by one or two wire clients — and a kill -9 (Server.Abort) of group
+// 0's primary mid-burst. At every point it asserts the gateway promotes
+// the standby, every verdict a stream saw is the one the gateway
+// journaled, the merged cluster decision stream passes policy-generic
+// replay bit-identically with zero acked-verdict loss
+// (VerifyMergedReplay), every Close returns, and the goroutine count
+// falls back to where the point started. Run under -race by
+// gateway-smoke.
 func TestGatewayFailover(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		for _, clients := range []int{0, 1, 2} {
+			name := fmt.Sprintf("groups=%d/in-process", groups)
+			if clients > 0 {
+				name = fmt.Sprintf("groups=%d/front-clients=%d", groups, clients)
+			}
+			t.Run(name, func(t *testing.T) { failoverPoint(t, groups, clients) })
+		}
+	}
+}
+
+// failoverPoint runs one point of TestGatewayFailover; clients = 0
+// submits in process.
+func failoverPoint(t *testing.T, groups, clients int) {
 	const (
 		spec          = "delta-commit:delta=0.5"
 		backendShards = 2
 		m             = 2
 		eps           = 0.5
 		nJobs         = 3000
-		submitters    = 4
+		streams       = 4
 	)
-	p0 := startBackend(t, backendShards, m, eps, spec)
-	s0 := startBackend(t, backendShards, m, eps, spec)
-	p1 := startBackend(t, backendShards, m, eps, spec)
-	s1 := startBackend(t, backendShards, m, eps, spec)
+	baseline := runtime.NumGoroutine()
+	primaries := make([]*testBackend, groups)
+	standbys := make([]*testBackend, groups)
+	specs := make([]BackendSpec, groups)
+	for g := range specs {
+		primaries[g] = startBackend(t, backendShards, m, eps, spec)
+		standbys[g] = startBackend(t, backendShards, m, eps, spec)
+		specs[g] = BackendSpec{Primary: primaries[g].addr(), Standby: standbys[g].addr()}
+	}
 
 	reg := obs.NewRegistry()
-	gw, err := New(
-		[]BackendSpec{
-			{Primary: p0.addr(), Standby: s0.addr()},
-			{Primary: p1.addr(), Standby: s1.addr()},
-		},
+	gw, err := New(specs,
 		WithJournal(),
 		WithMetrics(reg),
 		WithProbeInterval(50*time.Millisecond),
@@ -109,12 +128,30 @@ func TestGatewayFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}
-	closed := false
-	defer func() {
-		if !closed {
-			gw.Close()
+	t.Cleanup(func() { gw.Close() })
+
+	// Each stream submits through submit; a shed or backpressured job is
+	// retried, any other error fails the point.
+	submit := func(stream int, j job.Job) (online.Decision, error) { return gw.Submit(j) }
+	var front *netserve.Server
+	var pool []*netserve.Client
+	if clients > 0 {
+		if front, err = netserve.Serve(gw, "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
 		}
-	}()
+		t.Cleanup(func() { front.Close() })
+		for c := 0; c < clients; c++ {
+			cl, err := netserve.Dial(front.Addr().String(), netserve.WithConns(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cl.Close() })
+			pool = append(pool, cl)
+		}
+		submit = func(stream int, j job.Job) (online.Decision, error) {
+			return pool[stream%clients].SubmitTimeout(j, 30*time.Second)
+		}
+	}
 
 	inst := workload.Poisson(workload.Spec{N: nJobs, Eps: eps, M: m, Load: 2, Seed: 11})
 
@@ -126,33 +163,34 @@ func TestGatewayFailover(t *testing.T) {
 		for gw.DecidedJobs() < nJobs/3 {
 			time.Sleep(200 * time.Microsecond)
 		}
-		p0.srv.Abort()
+		primaries[0].srv.Abort()
 	}()
 
 	var wg sync.WaitGroup
-	var accepted atomic.Int64
-	for w := 0; w < submitters; w++ {
+	var mu sync.Mutex
+	seen := make(map[int]online.Decision, nJobs)
+	for w := 0; w < streams; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(inst); i += submitters {
+			for i := w; i < len(inst); i += streams {
 				for {
-					dec, err := gw.Submit(inst[i])
-					if errors.Is(err, serve.ErrBackpressure) {
+					dec, err := submit(w, inst[i])
+					if errors.Is(err, serve.ErrBackpressure) || errors.Is(err, netserve.ErrShed) {
 						time.Sleep(100 * time.Microsecond)
 						continue
 					}
 					if err != nil {
-						t.Errorf("submitter %d job %d: %v", w, inst[i].ID, err)
+						t.Errorf("stream %d job %d: %v", w, inst[i].ID, err)
 						return
 					}
 					if dec.JobID != inst[i].ID {
-						t.Errorf("submitter %d: verdict for job %d, want %d", w, dec.JobID, inst[i].ID)
+						t.Errorf("stream %d: verdict for job %d, want %d", w, dec.JobID, inst[i].ID)
 						return
 					}
-					if dec.Accepted {
-						accepted.Add(1)
-					}
+					mu.Lock()
+					seen[inst[i].ID] = dec
+					mu.Unlock()
 					break
 				}
 			}
@@ -178,11 +216,19 @@ func TestGatewayFailover(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Close flushes group 1's mirror so its standby ends bit-identical.
-	if err := gw.Close(); err != nil {
-		t.Fatalf("gateway.Close: %v", err)
-	}
-	closed = true
+	// Close the front and its clients, then the gateway, which flushes
+	// every surviving mirror so a standby that never took over ends
+	// bit-identical to its primary.
+	closeAll(t, func() error {
+		var errs []error
+		for _, cl := range pool {
+			errs = append(errs, cl.Close())
+		}
+		if front != nil {
+			errs = append(errs, front.Close())
+		}
+		return errors.Join(append(errs, gw.Close())...)
+	})
 
 	st := gw.Status()
 	if st.Groups[0].State != StateDegraded {
@@ -207,35 +253,100 @@ func TestGatewayFailover(t *testing.T) {
 		t.Fatalf("no backend marked dead in group 0 status: %+v", st.Groups[0].Backends)
 	}
 
+	// Every verdict a stream saw is the one the gateway journaled: the
+	// front hop, when there is one, added or altered nothing.
+	accepted := 0
+	for g := 0; g < groups; g++ {
+		for _, e := range gw.Journal(g) {
+			dec, ok := seen[e.Job.ID]
+			if !ok {
+				continue // a failover poke
+			}
+			if !online.SameDecision(dec, e.Dec) {
+				t.Fatalf("job %d: stream saw %v, gateway journaled %v", e.Job.ID, dec, e.Dec)
+			}
+			delete(seen, e.Job.ID)
+			if dec.Accepted {
+				accepted++
+			}
+		}
+	}
+	if len(seen) != 0 {
+		t.Fatalf("%d verdicts seen by the streams are missing from the journals", len(seen))
+	}
+	if accepted == 0 {
+		t.Fatal("no job was accepted — degenerate workload")
+	}
+
 	// Every backend that survived must self-replay (serve's own check).
-	for i, b := range []*testBackend{p0, s0, p1, s1} {
-		if err := b.svc.VerifyReplay(); err != nil {
-			t.Fatalf("backend %d VerifyReplay: %v", i, err)
+	for g := 0; g < groups; g++ {
+		for _, b := range []*testBackend{primaries[g], standbys[g]} {
+			if err := b.svc.VerifyReplay(); err != nil {
+				t.Fatalf("group %d backend VerifyReplay: %v", g, err)
+			}
 		}
 	}
 
 	// The failover proof: the dead primary's streams are an acked prefix
 	// plus an unacked contiguous tail; the promoted standby's streams
 	// extend that prefix, replay bit-identically under a fresh policy,
-	// and contain every acknowledged verdict unchanged.
+	// and contain every acknowledged verdict unchanged. A group that
+	// never failed over must have a standby mirroring its primary
+	// exactly, and its journal must also verify (a trivial merge: the
+	// "dead" and "promoted" sides are the same healthy pair).
 	builder, err := policy.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyMergedReplay(builder, m, eps, gw.Journal(0), Streams(p0.svc), Streams(s0.svc)); err != nil {
-		t.Fatalf("group 0 merged replay: %v", err)
+	for g := 0; g < groups; g++ {
+		if g > 0 {
+			sameStreams(t, fmt.Sprintf("group %d mirror", g), Streams(primaries[g].svc), Streams(standbys[g].svc))
+		}
+		if err := VerifyMergedReplay(builder, m, eps, gw.Journal(g), Streams(primaries[g].svc), Streams(standbys[g].svc)); err != nil {
+			t.Fatalf("group %d merged replay: %v", g, err)
+		}
 	}
 
-	// Group 1 never failed over: its flushed standby must mirror the
-	// primary exactly, and its journal must also verify (trivial merge:
-	// the "dead" and "promoted" sides are the same healthy pair).
-	sameStreams(t, "group 1 mirror", Streams(p1.svc), Streams(s1.svc))
-	if err := VerifyMergedReplay(builder, m, eps, gw.Journal(1), Streams(p1.svc), Streams(s1.svc)); err != nil {
-		t.Fatalf("group 1 merged replay: %v", err)
-	}
+	// Nothing of the point may outlive it.
+	closeAll(t, func() error {
+		var errs []error
+		for _, b := range append(primaries, standbys...) {
+			errs = append(errs, b.srv.Close(), b.svc.Close())
+		}
+		return errors.Join(errs...)
+	})
+	waitGoroutines(t, baseline)
+}
 
-	if accepted.Load() == 0 {
-		t.Fatal("no job was accepted — degenerate workload")
+// closeAll runs close and fails t on its error, or when it has not
+// returned within ten seconds: a Close that hangs is a failure, not a
+// stalled test.
+func closeAll(t *testing.T, close func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("close did not return within 10s")
+	}
+}
+
+// waitGoroutines polls until no more goroutines run than baseline. The
+// deadline only bounds a failing run; a passing one never waits for it.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, started with %d:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

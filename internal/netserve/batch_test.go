@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
@@ -90,31 +91,55 @@ func checkObservedAgainstStreams(t *testing.T, svc *serve.Service, shards int, o
 // bit-identical to a sequential replay through a lone Threshold — the
 // same proof TestNetReplayEquivalence gives for singles, now across the
 // batch frames, the grouped shard handoff and the verdict-batch reply.
+// It holds untraced and with spans on both server layers, at each
+// GOMAXPROCS of replayProcs; traced, every frame finishes one span.
 func TestNetBatchReplayEquivalence(t *testing.T) {
 	const shards, m = 3, 16
 	const eps = 0.25
-	svc, err := serve.New(shards, m, eps, serve.WithDecisionLog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n, clients, batch = 4000, 4, 47
+	for _, traced := range []bool{false, true} {
+		for _, procs := range replayProcs() {
+			t.Run(fmt.Sprintf("traced=%v/procs=%d", traced, procs), func(t *testing.T) {
+				withProcs(t, procs)
+				var rec *obs.SpanRecorder
+				if traced {
+					rec = obs.NewSpanRecorder(obs.NewRegistry(), obs.WithSlowLog(nil))
+				}
+				svc, err := serve.New(shards, m, eps, serve.WithDecisionLog(), serve.WithSpans(rec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := Serve(svc, "127.0.0.1:0", WithServerSpans(rec))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	inst := genInstance(t, 4000, shards*m, eps, 7)
-	observed := driveBatches(t, srv.Addr().String(), inst, 4, 47)
+				inst := genInstance(t, n, shards*m, eps, 7)
+				observed := driveBatches(t, srv.Addr().String(), inst, clients, batch)
 
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := svc.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := svc.VerifyReplay(); err != nil {
+					t.Fatalf("batched stream diverged from sequential replay: %v", err)
+				}
+				checkObservedAgainstStreams(t, svc, shards, observed, len(inst))
+				if traced {
+					frames := 0
+					for c := 0; c < clients; c++ {
+						stripe := (n - c + clients - 1) / clients
+						frames += (stripe + batch - 1) / batch
+					}
+					if got := rec.Finished(); got != uint64(frames) {
+						t.Fatalf("finished spans = %d, want one per frame (%d)", got, frames)
+					}
+				}
+			})
+		}
 	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.VerifyReplay(); err != nil {
-		t.Fatalf("batched stream diverged from sequential replay: %v", err)
-	}
-	checkObservedAgainstStreams(t, svc, shards, observed, len(inst))
 }
 
 // TestNetBatchMatchesPerJob drives the same instance through two

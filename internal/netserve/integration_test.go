@@ -1,7 +1,9 @@
 package netserve
 
 import (
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -61,59 +63,66 @@ func driveClients(t *testing.T, addr string, inst job.Instance, clients, pipelin
 	return observed
 }
 
+// withProcs runs the test under GOMAXPROCS=n and restores the previous
+// setting when it ends.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// replayProcs is the GOMAXPROCS axis of the networked replay tests: one
+// P, where goroutines interleave only at scheduling points, two, and
+// the setting the test run started with when it is larger (make
+// race-multicore forces 4).
+func replayProcs() []int {
+	procs := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		procs = append(procs, p)
+	}
+	return procs
+}
+
 // TestNetReplayEquivalence is the end-to-end correctness claim of the
 // network layer: N concurrent pipelining clients hammer a live daemon
 // over TCP, and afterwards every shard's decision stream must be
 // bit-identical to a sequential replay through a lone Threshold
 // (VerifyReplay) — the same proof the in-process serving layer gives,
 // now across the wire protocol, the connection goroutines and the
-// write-coalescing path. Run under -race this also exercises every
-// cross-goroutine handoff in server and client.
+// write-coalescing path, at each GOMAXPROCS of replayProcs. Run under
+// -race this also exercises every cross-goroutine handoff in server and
+// client.
 func TestNetReplayEquivalence(t *testing.T) {
 	const shards, m = 3, 16
 	const eps = 0.25
-	svc, err := serve.New(shards, m, eps, serve.WithDecisionLog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inst := genInstance(t, 4000, shards*m, eps, 7)
-	observed := driveClients(t, srv.Addr().String(), inst, 3, 4)
-
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.VerifyReplay(); err != nil {
-		t.Fatalf("networked stream diverged from sequential replay: %v", err)
-	}
-
-	// Every verdict a client observed matches the decision the service
-	// recorded — the wire added or altered nothing.
-	if len(observed) != len(inst) {
-		t.Fatalf("observed %d verdicts, want %d", len(observed), len(inst))
-	}
-	recorded := 0
-	for s := 0; s < shards; s++ {
-		for _, rec := range svc.ShardStream(s) {
-			want, ok := observed[rec.Job.ID]
-			if !ok {
-				t.Fatalf("shard %d decided job %d no client ever saw", s, rec.Job.ID)
+	for _, procs := range replayProcs() {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			svc, err := serve.New(shards, m, eps, serve.WithDecisionLog())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !online.SameDecision(want, rec.Decision) {
-				t.Fatalf("job %d: client saw %v, service recorded %v", rec.Job.ID, want, rec.Decision)
+			srv, err := Serve(svc, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			recorded++
-		}
-	}
-	if recorded != len(inst) {
-		t.Fatalf("service recorded %d decisions, want %d", recorded, len(inst))
+
+			inst := genInstance(t, 4000, shards*m, eps, 7)
+			observed := driveClients(t, srv.Addr().String(), inst, 3, 4)
+
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.VerifyReplay(); err != nil {
+				t.Fatalf("networked stream diverged from sequential replay: %v", err)
+			}
+			// Every verdict a client observed matches the decision the
+			// service recorded — the wire added or altered nothing.
+			checkObservedAgainstStreams(t, svc, shards, observed, len(inst))
+		})
 	}
 }
 

@@ -38,7 +38,8 @@ func SameDecision(a, b Decision) bool {
 // submission and returns the first divergence, or nil if every decision
 // matched. Both schedulers are Reset first so the replay starts from
 // clean state. It is the spine of the differential-equivalence harness
-// (naive vs incremental core) and of the cmd/bench -check mode.
+// (naive vs incremental core), of BenchmarkSubmit's m = 4096 check and
+// of the arena's determinism check.
 func Lockstep(a, b Scheduler, inst job.Instance) *Divergence {
 	a.Reset()
 	b.Reset()

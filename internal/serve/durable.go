@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"loadmax/internal/online"
@@ -65,6 +66,57 @@ type shardCheckpoint struct {
 
 func shardDir(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", id))
+}
+
+// checkShardDirs requires dir to hold exactly the shard directories
+// shard-0000 … shard-(n−1) the manifest claims. Without it a manifest
+// that under-counts would silently drop the other shards' committed
+// decisions, and one that over-counts would fail only after building
+// every shard. It lists dir once and allocates nothing per claimed
+// shard, so a corrupt count costs no more than a correct one.
+func checkShardDirs(dir string, n int) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("serve: restore %s: %w", dir, err)
+	}
+	var ids []int
+	for _, e := range entries {
+		digits, ok := strings.CutPrefix(e.Name(), "shard-")
+		if !ok {
+			continue
+		}
+		id := 0
+		for _, c := range digits {
+			if c < '0' || c > '9' || id >= n {
+				id = n
+				break
+			}
+			id = id*10 + int(c-'0')
+		}
+		// The canonical spelling also refuses "shard-", extra leading
+		// zeros and anything that overflowed.
+		if id >= n || filepath.Base(shardDir(dir, id)) != e.Name() {
+			return fmt.Errorf("serve: restore %s: %s is not one of the manifest's %d shards", dir, e.Name(), n)
+		}
+		ids = append(ids, id)
+	}
+	if len(ids) == n {
+		return nil
+	}
+	// The ids are distinct and fewer than n, so one of 0…len(ids) is
+	// missing.
+	seen := make([]bool, len(ids)+1)
+	for _, id := range ids {
+		if id < len(seen) {
+			seen[id] = true
+		}
+	}
+	missing := 0
+	for seen[missing] {
+		missing++
+	}
+	return fmt.Errorf("serve: restore %s: manifest claims %d shards but %s is missing",
+		dir, n, filepath.Base(shardDir(dir, missing)))
 }
 
 // walOptions builds the per-shard WAL configuration, routing sync
@@ -187,7 +239,9 @@ func (sh *shard) checkpoint() error {
 // WithAdmissionPolicy is allowed only as an assertion: a builder whose
 // spec differs from the manifest's fails loudly, because replaying one
 // policy's commitment log through another would silently re-decide it.
-// The restored service resumes appending to the recovered logs.
+// The directory must hold exactly the manifest's shard directories, no
+// more and no fewer. The restored service resumes appending to the
+// recovered logs.
 func Restore(dir string, opts ...Option) (*Service, error) {
 	start := time.Now()
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -218,6 +272,9 @@ func Restore(dir string, opts ...Option) (*Service, error) {
 			return nil, fmt.Errorf("serve: restore %s: manifest policy: %w", dir, err)
 		}
 		cfg.admission = b
+	}
+	if err := checkShardDirs(dir, mf.Shards); err != nil {
+		return nil, err
 	}
 	cfg.durDir = dir
 	s, err := build(mf.Shards, mf.M, mf.Eps, &cfg)

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -280,6 +282,69 @@ func TestDurableDirRefusedWhenInitialized(t *testing.T) {
 func TestRestoreRequiresManifest(t *testing.T) {
 	if _, err := Restore(t.TempDir()); err == nil {
 		t.Fatal("Restore succeeded without a manifest")
+	}
+}
+
+// TestRestoreRefusesShardMismatch pins Restore to the shard directories
+// on disk: a manifest that counts fewer shards than the directory holds
+// would drop the rest with their committed decisions, one that counts
+// more would build shards with no log, and a missing directory in the
+// middle is the same loss. Each must fail before any shard is built.
+func TestRestoreRefusesShardMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		shards, claim int
+		remove        string // shard directory deleted before Restore
+		want          string
+	}{
+		{name: "under-count", shards: 4, claim: 2, want: "shard-0002 is not one of the manifest's 2 shards"},
+		{name: "over-count", shards: 2, claim: 4, want: "manifest claims 4 shards but shard-0002 is missing"},
+		{name: "gap", shards: 4, claim: 4, remove: "shard-0001", want: "manifest claims 4 shards but shard-0001 is missing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			svc, err := New(tc.shards, 2, 0.5, WithDurability(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range workload.Poisson(workload.Spec{N: 200, Eps: 0.5, M: 2 * tc.shards, Load: 2, Seed: 5}) {
+				if _, err := svc.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.remove != "" {
+				if err := os.RemoveAll(filepath.Join(dir, tc.remove)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mfPath := filepath.Join(dir, manifestName)
+			blob, err := os.ReadFile(mfPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mf manifest
+			if err := json.Unmarshal(blob, &mf); err != nil {
+				t.Fatal(err)
+			}
+			mf.Shards = tc.claim
+			if blob, err = json.Marshal(mf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(mfPath, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Restore(dir)
+			if err == nil {
+				rec.Close()
+				t.Fatalf("Restore accepted a manifest of %d shards over %d shard directories", tc.claim, tc.shards)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error %q, want it to name %q", err, tc.want)
+			}
+		})
 	}
 }
 

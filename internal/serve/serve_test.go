@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -50,34 +51,40 @@ func submitAll(t *testing.T, svc *Service, inst job.Instance, g int) int {
 // TestConcurrentSubmitReplayEquivalence is the core correctness claim:
 // many goroutines hammering Submit produce, per shard, exactly the
 // decision stream a lone sequential Threshold produces on that shard's
-// jobs. Run under -race this also exercises the queue/snapshot/close
+// jobs — under every router and at each GOMAXPROCS of replayProcs. Run
+// under -race this also exercises the queue/snapshot/close
 // synchronization.
 func TestConcurrentSubmitReplayEquivalence(t *testing.T) {
-	for _, policy := range []Policy{HashByID(), LengthClass(), RoundRobin()} {
-		t.Run(policy.Name(), func(t *testing.T) {
-			inst := workload.Poisson(workload.Spec{N: 4000, Eps: 0.1, M: 4, Load: 2, Seed: 7})
-			svc, err := New(4, 4, 0.1,
-				WithPolicy(policy), WithDecisionLog(), WithQueueDepth(64), WithBatchSize(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			accepted := submitAll(t, svc, inst, 8)
-			if err := svc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.VerifyReplay(); err != nil {
-				t.Fatal(err)
-			}
-			var submitted, snapAccepted int64
-			for _, snap := range svc.Snapshot() {
-				submitted += snap.Submitted
-				snapAccepted += snap.Accepted
-			}
-			if submitted != int64(len(inst)) {
-				t.Fatalf("shards saw %d submissions, want %d", submitted, len(inst))
-			}
-			if snapAccepted != int64(accepted) {
-				t.Fatalf("snapshot accepted %d, callers saw %d", snapAccepted, accepted)
+	for _, mkPolicy := range []func() Policy{HashByID, LengthClass, RoundRobin} {
+		t.Run(mkPolicy().Name(), func(t *testing.T) {
+			for _, procs := range replayProcs() {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					withProcs(t, procs)
+					inst := workload.Poisson(workload.Spec{N: 4000, Eps: 0.1, M: 4, Load: 2, Seed: 7})
+					svc, err := New(4, 4, 0.1,
+						WithPolicy(mkPolicy()), WithDecisionLog(), WithQueueDepth(64), WithBatchSize(8))
+					if err != nil {
+						t.Fatal(err)
+					}
+					accepted := submitAll(t, svc, inst, 8)
+					if err := svc.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := svc.VerifyReplay(); err != nil {
+						t.Fatal(err)
+					}
+					var submitted, snapAccepted int64
+					for _, snap := range svc.Snapshot() {
+						submitted += snap.Submitted
+						snapAccepted += snap.Accepted
+					}
+					if submitted != int64(len(inst)) {
+						t.Fatalf("shards saw %d submissions, want %d", submitted, len(inst))
+					}
+					if snapAccepted != int64(accepted) {
+						t.Fatalf("snapshot accepted %d, callers saw %d", snapAccepted, accepted)
+					}
+				})
 			}
 		})
 	}

@@ -12,12 +12,25 @@ import (
 	"loadmax/internal/workload"
 )
 
-// withTwoProcs runs the test under GOMAXPROCS=2, where the WAL allows
-// one goroutine inside a sync at a time.
-func withTwoProcs(t *testing.T) {
+// withProcs runs the test under GOMAXPROCS=n and restores the previous
+// setting when it ends. At n = 2 the WAL allows one goroutine inside a
+// sync at a time.
+func withProcs(t *testing.T, n int) {
 	t.Helper()
-	old := runtime.GOMAXPROCS(2)
+	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// replayProcs is the GOMAXPROCS axis of the concurrent replay tests:
+// one P, where goroutines interleave only at scheduling points, two,
+// and the setting the test run started with when it is larger (make
+// race-multicore forces 4).
+func replayProcs() []int {
+	procs := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		procs = append(procs, p)
+	}
+	return procs
 }
 
 // waitFor polls cond until it holds. The deadline only bounds a failing
@@ -38,7 +51,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // shards inside a WAL sync at once, and the served stream must still
 // replay and restore exactly.
 func TestSyncSlotBurstUnderTwoProcs(t *testing.T) {
-	withTwoProcs(t)
+	withProcs(t, 2)
 	const n, shards, m, eps = 800, 4, 3, 0.3
 	jobs := workload.Poisson(workload.Spec{N: n, Eps: eps, M: shards * m, Load: 2, Seed: 21})
 	var inside, peak atomic.Int32
@@ -94,7 +107,7 @@ func TestSyncSlotBurstUnderTwoProcs(t *testing.T) {
 // each shard's queued submissions land together in one group: four
 // groups of 1, 1, k and k records.
 func TestSyncSlotHeldCommitGroupsQueue(t *testing.T) {
-	withTwoProcs(t)
+	withProcs(t, 2)
 	const shards, m, eps, k = 2, 3, 0.3, 10
 	var byShard [shards][]job.Job
 	for _, j := range workload.Poisson(workload.Spec{N: 100, Eps: eps, M: shards * m, Load: 2, Seed: 5}) {
